@@ -10,8 +10,8 @@ via repr so identical (config, seed) pairs reproduce identical bytes.
 
 Exit status 0 means every check of the run passed, 1 means a numerical
 check failed, 2 means the configuration was unusable.  The environment
-variable MONOPOLE_LAB_THREADS caps FFT parallelism in the evolution
-engines.
+variable MONOPOLE_LAB_THREADS sets the number of FFT workers of the
+evolution engines (default 1).
 """
 
 import argparse
@@ -54,28 +54,29 @@ COMMANDS = (
     "probe-bilinear",
 )
 
-# key -> (parser, default, description); one flat namespace for all commands
+# key -> (parser, default, description, lower bound or None); one flat
+# namespace for all commands
 SCHEMA = {
-    "n": (int, 32, "grid points per side, power of two"),
-    "length": (float, 2.0 * np.pi, "torus side length"),
-    "dt": (float, 1e-3, "time step"),
-    "seed": (int, 0, "random generator seed"),
-    "out": (str, "runs", "output directory"),
-    "steps": (int, 200, "evolution steps"),
-    "sample_every": (int, 10, "steps between recorded samples"),
-    "amplitude": (float, 0.2, "amplitude of random initial data"),
-    "kmax": (float, 5.0, "band limit of random data"),
-    "lorenz_tol": (float, 1e-8, "gauge constraint threshold"),
-    "null_samples": (int, 100000, "frequency pairs in the null sweep"),
-    "rtol": (float, 1e-6, "cone quadrature tolerance"),
-    "norm_tuples": (int, 20, "factorization tuples to test"),
-    "probe_samples": (int, 25, "bilinear probes per (eps, sign)"),
-    "n_active": (int, 96, "active modes per probe factor"),
-    "probe_n_t": (int, 16, "time lattice size of probe data"),
-    "n_t": (int, 256, "time samples of windowed waves"),
-    "t_window": (float, 2.0, "half width of the time window"),
-    "width": (float, 0.2, "gaussian window width"),
-    "eps": (float, 0.125, "estimate parameter eps"),
+    "n": (int, 32, "grid points per side, power of two", None),
+    "length": (float, 2.0 * np.pi, "torus side length", None),
+    "dt": (float, 1e-3, "time step", None),
+    "seed": (int, 0, "random generator seed", 0),
+    "out": (str, "runs", "output directory", None),
+    "steps": (int, 200, "evolution steps", 0),
+    "sample_every": (int, 10, "steps between recorded samples", 1),
+    "amplitude": (float, 0.2, "amplitude of random initial data", None),
+    "kmax": (float, 5.0, "band limit of random data", None),
+    "lorenz_tol": (float, 1e-8, "gauge constraint threshold", None),
+    "null_samples": (int, 100000, "frequency pairs in the null sweep", 1),
+    "rtol": (float, 1e-6, "cone quadrature tolerance", None),
+    "norm_tuples": (int, 20, "factorization tuples to test", 1),
+    "probe_samples": (int, 25, "bilinear probes per (eps, sign)", 1),
+    "n_active": (int, 96, "active modes per probe factor", 1),
+    "probe_n_t": (int, 16, "time lattice size of probe data", 1),
+    "n_t": (int, 256, "time samples of windowed waves", 1),
+    "t_window": (float, 2.0, "half width of the time window", None),
+    "width": (float, 0.2, "gaussian window width", None),
+    "eps": (float, 0.125, "estimate parameter eps", None),
 }
 
 
@@ -90,7 +91,7 @@ class RunConfig:
         if command not in COMMANDS:
             raise UsageError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
         self.command = command
-        for key, (_, default, _) in SCHEMA.items():
+        for key, (_, default, _, _) in SCHEMA.items():
             setattr(self, key, values.get(key, default))
 
     def items(self):
@@ -119,13 +120,16 @@ def _coerce(key, raw):
         raise UsageError(
             f"unknown config key {key!r}; valid keys: {', '.join(sorted(SCHEMA))}"
         )
-    parser = SCHEMA[key][0]
+    parser, _, _, minimum = SCHEMA[key]
+    value = raw
     if isinstance(raw, str):
         try:
-            return parser(raw)
+            value = parser(raw)
         except ValueError:
             raise UsageError(f"invalid value for {key}: {raw!r}") from None
-    return raw
+    if minimum is not None and value < minimum:
+        raise UsageError(f"{key} must be at least {minimum}, got {value!r}")
+    return value
 
 
 def parse_overrides(pairs):
@@ -145,7 +149,7 @@ def build_config(command, file_values=None, overrides=None, seed=None, out=None)
         for key, raw in source.items():
             merged[key] = _coerce(key, raw)
     if seed is not None:
-        merged["seed"] = int(seed)
+        merged["seed"] = _coerce("seed", int(seed))
     if out is not None:
         merged["out"] = str(out)
     return RunConfig(command, merged)
@@ -478,7 +482,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="monopole-lab",
         description="Simulation and verification sweeps for the planar gauge system.",
-        epilog="MONOPOLE_LAB_THREADS caps FFT parallelism.",
+        epilog="MONOPOLE_LAB_THREADS sets the FFT workers of the evolution engines (default 1).",
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat key = value configuration file")

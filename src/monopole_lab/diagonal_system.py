@@ -21,11 +21,19 @@ the four projected components as complex matrix fields and works for any
 su(n) and even for artificial complex states.  When the state is an
 honest su(2) configuration split consistently into its half waves, an
 equivalent fast engine evolves the unsplit pairs in the SU2_GENERATORS
-coefficient basis: physical fields are then real 3-vectors, commutators
-are cross products, the transforms are half-spectrum, and the exact
-linear propagator is the per-mode 2 x 2 matrix
+coefficient basis: physical fields are then real 3-vectors c, commutators
+are cross products, and the transforms are half-spectrum.  Entry and exit
+stay in that basis.  Let R be the operator with the real symbol
+-i alpha . xi / |xi| (zero at xi = 0), acting on the pair index; R c is a
+real field and the half waves are
+    P_pm c = (c pm i R c) / 2.
+The entry reads the coefficients of each pair off the state and accepts
+the state only if its plus components equal su2_matrix((c + i R c) / 2);
+the exit builds u_pm and v_pm as su2_matrix((c pm i R c) / 2).  The exact linear
+propagator is the per-mode 2 x 2 matrix
     exp(pm i h alpha . xi) = cos(h|xi|) pm i sin(h|xi|) alpha . xihat
-acting on the pair index.  Projection commutes with every stage, so the
+acting on the pair index; since E(h) = E(h/2)^2 a step applies only the
+half-step one, four times.  Projection commutes with every stage, so the
 engines agree to rounding; tests enforce this.
 
 Layout: public arrays keep the grid axes in front, (2, N, N, n, n) per
@@ -235,6 +243,14 @@ def _matmul_stack(a, b):
     return np.einsum("sijxy,sjkxy->sikxy", a, b)
 
 
+def _cross(a, b, out, tmp):
+    """out = a x b over the leading length-3 axis; tmp is one scratch field."""
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i])
+        np.multiply(a[k], b[j], out=tmp)
+        out[i] -= tmp
+
+
 class HalfWaveSolver:
     """Integrating-factor RK4 for the projected characteristic system."""
 
@@ -263,8 +279,13 @@ class HalfWaveSolver:
             np.where(self._mag_r == 0.0, 0.0, self._kx_r / safe),
             np.where(self._mag_r == 0.0, 0.0, self._ky_r / safe),
         )
-        self._keep_r = grid.dealias_mask[:, :nh]
         self._fast_phase_cache = {}
+        # scratch reused by every su(2) step: the nine product fields of
+        # the nonlinearity and one field each for partial results
+        n = grid.n_points
+        self._prod = np.empty((3, 3, n, n))
+        self._tmp = np.empty((n, n))
+        self._spec_tmp = np.empty((3, n, nh), dtype=np.complex128)
 
     # representation changes -------------------------------------------------
 
@@ -323,41 +344,56 @@ class HalfWaveSolver:
 
     # su(2) engine ------------------------------------------------------------
 
-    def _fast_ready(self, state):
-        """True when the state is a consistently split su(2) configuration.
+    def _to_fast(self, state):
+        """Coefficient spectra of (u, v), or None when the state needs the general engine.
 
-        Fast stepping needs real coefficient fields (su(2) pairs), the
-        half-wave components to be the actual projections of their sums,
-        and empty Nyquist lines, whose sign convention is not shared by
-        the half-spectrum transforms.
+        Fast stepping needs real coefficient fields (anti-Hermitian, traceless
+        su(2) pairs), empty Nyquist lines, whose sign convention is not shared
+        by the half-spectrum transforms, and plus components that are the
+        actual projections (c + i R c) / 2 of their pairs.  All are tested at
+        1e-12 of the state's largest entry, one pair at a time.
         """
         if self.force_general or state.u_plus.shape[-1] != 2:
-            return False
-        scale = max(state_max_abs(state), 1e-30)
-        tol = 1e-12 * scale
+            return None
+        tol = 1e-12 * max(state_max_abs(state), 1e-30)
         nyq = self.grid.n_points // 2
-        for pair, plus in ((state.u(), state.u_plus), (state.v(), state.v_plus)):
+        y = np.empty((2, 2, 3, *self._mag_r.shape), dtype=np.complex128)
+        for w, (plus, minus) in enumerate(
+            ((state.u_plus, state.u_minus), (state.v_plus, state.v_minus))
+        ):
+            pair = plus + minus
             if anti_hermitian_defect(pair) > tol:
-                return False
-            if float(np.max(np.abs(np.trace(pair, axis1=-2, axis2=-1)))) > tol:
-                return False
-            pair_hat = fft_forward(pair, self.grid, workers=self.workers)
-            if (
-                float(np.max(np.abs(pair_hat[:, nyq]))) > tol
-                or float(np.max(np.abs(pair_hat[:, :, nyq]))) > tol
-            ):
-                return False
-            plus_hat = fft_forward(plus, self.grid, workers=self.workers)
-            proj = apply_projection(+1, pair_hat, self.grid)
-            if float(np.max(np.abs(proj - plus_hat))) > tol:
-                return False
-        return True
+                return None
+            c = np.moveaxis(su2_coefficients(pair).real, -1, 1)
+            y[w] = _fft.rfft2(c, axes=(-2, -1), norm="ortho", workers=self.workers)
+            nyquist = np.concatenate([y[w, ..., nyq, :], y[w, ..., nyq]], axis=-1)
+            if float(np.max(np.abs(su2_matrix(np.moveaxis(nyquist, 1, -1))))) > tol:
+                return None
+            if float(np.max(np.abs(self._plus_part(c, y[w]) - plus))) > tol:
+                return None
+        return y
 
-    def _to_fast(self, state):
-        u = su2_coefficients(state.u()).real
-        v = su2_coefficients(state.v()).real
-        arr = np.ascontiguousarray(np.moveaxis(np.stack([u, v]), -1, 2))
-        return _fft.rfft2(arr, axes=(-2, -1), norm="ortho", workers=self.workers)
+    def _fast_ready(self, state):
+        """True when the su(2) engine accepts the state."""
+        return self._to_fast(state) is not None
+
+    def _plus_part(self, c, pair_hat):
+        """su2_matrix((c + i R c) / 2) with grid axes in front: the plus projection.
+
+        c holds the physical coefficients (2, 3, N, N) of one pair and
+        pair_hat their half spectrum.  R has the real symbol
+        -i alpha . xi / |xi|, so R c is a real field too.
+        """
+        h1, h2 = self._hat_r
+        r_hat = np.empty_like(pair_hat)
+        np.multiply(h1, pair_hat[0], out=r_hat[0])
+        r_hat[0] += h2 * pair_hat[1]
+        np.multiply(h2, pair_hat[0], out=r_hat[1])
+        r_hat[1] -= h1 * pair_hat[1]
+        r_hat *= -1j
+        n = self.grid.n_points
+        rc = _fft.irfft2(r_hat, s=(n, n), axes=(-2, -1), norm="ortho", workers=self.workers)
+        return su2_matrix(np.moveaxis(0.5 * (c + 1j * rc), 1, -1))
 
     def _fast_to_pairs(self, y):
         n = self.grid.n_points
@@ -366,14 +402,23 @@ class HalfWaveSolver:
         return mats
 
     def _from_fast(self, y):
-        mats = self._fast_to_pairs(y)
-        return diagonal_split(self.grid, mats[0], mats[1], workers=self.workers)
+        """Split each pair into its half waves: P+- c = (c +- i R c) / 2."""
+        n = self.grid.n_points
+        comps = []
+        for pair_hat in y:
+            c = _fft.irfft2(pair_hat, s=(n, n), axes=(-2, -1), norm="ortho", workers=self.workers)
+            plus = self._plus_part(c, pair_hat)
+            minus = su2_matrix(np.moveaxis(c, 1, -1))
+            minus -= plus
+            comps += [plus, minus]
+        return DiagonalState(self.grid, *comps)
 
-    def _fast_phases(self, h):
+    def _half_propagator(self, h):
+        """exp(+-i (h/2) alpha . xi) for u and v, shape (2, 2, 2, N, N//2+1)."""
         key = float(h)
         if key not in self._fast_phase_cache:
-            self._fast_phase_cache[key] = tuple(
-                self._square_phase(s * h) for s in (1.0, -1.0, 0.5, -0.5)
+            self._fast_phase_cache[key] = np.stack(
+                [self._square_phase(0.5 * h), self._square_phase(-0.5 * h)]
             )
         return self._fast_phase_cache[key]
 
@@ -389,38 +434,75 @@ class HalfWaveSolver:
         e[1, 0] = e[0, 1]
         return e
 
-    def _apply_uv(self, eu, ev, y):
+    def _propagate(self, e, y):
+        """Apply the per-mode 2 x 2 propagators e to the pair index of u and v."""
         out = np.empty_like(y)
-        out[0, 0] = eu[0, 0] * y[0, 0] + eu[0, 1] * y[0, 1]
-        out[0, 1] = eu[1, 0] * y[0, 0] + eu[1, 1] * y[0, 1]
-        out[1, 0] = ev[0, 0] * y[1, 0] + ev[0, 1] * y[1, 1]
-        out[1, 1] = ev[1, 0] * y[1, 0] + ev[1, 1] * y[1, 1]
+        tmp = self._spec_tmp
+        for w in range(2):
+            for i in range(2):
+                np.multiply(e[w, i, 0], y[w, 0], out=out[w, i])
+                np.multiply(e[w, i, 1], y[w, 1], out=tmp)
+                out[w, i] += tmp
         return out
 
     def _nonlin_fast(self, y):
+        """Dealiased N(u, v) and N(v, u) of coefficient spectra; brackets are cross products."""
         n = self.grid.n_points
-        uv = _fft.irfft2(y, s=(n, n), axes=(-2, -1), norm="ortho", workers=self.workers)
-        u, v = uv[0], uv[1]
-        c_uv = 0.5 * (np.cross(u[0], v[0], axis=0) + np.cross(u[1], v[1], axis=0))
-        out = np.empty_like(uv)
-        out[0, 0] = c_uv
-        out[0, 1] = np.cross(u[1], u[0], axis=0)
-        out[1, 0] = -c_uv
-        out[1, 1] = np.cross(v[1], v[0], axis=0)
-        n_hat = _fft.rfft2(out, axes=(-2, -1), norm="ortho", workers=self.workers)
-        n_hat *= self._keep_r
-        return n_hat
+        u, v = _fft.irfft2(y, s=(n, n), axes=(-2, -1), norm="ortho", workers=self.workers)
+        prod, tmp = self._prod, self._tmp
+        # rows: (u0 x v0 + u1 x v1) / 2, u1 x u0, v1 x v0; the first row of
+        # N(v, u) is minus that of N(u, v), so it is not transformed again
+        _cross(u[0], v[0], prod[0], tmp)
+        _cross(u[1], v[1], prod[1], tmp)
+        prod[0] += prod[1]
+        prod[0] *= 0.5
+        _cross(u[1], u[0], prod[1], tmp)
+        _cross(v[1], v[0], prod[2], tmp)
+        n_hat = _fft.rfft2(prod, axes=(-2, -1), norm="ortho", workers=self.workers)
+        # two-thirds rule as in grid.dealias_mask: zero the slabs with
+        # |k_index| > N/3 along either axis
+        cut = n // 3
+        n_hat[..., cut + 1 : n - cut, :] = 0.0
+        n_hat[..., cut + 1 :] = 0.0
+        out = np.empty_like(y)
+        out[0, 0] = n_hat[0]
+        out[0, 1] = n_hat[1]
+        np.negative(n_hat[0], out=out[1, 0])
+        out[1, 1] = n_hat[2]
+        return out
 
     def _step_fast(self, y, h, k1=None):
-        eu1, ev1, euh, evh = self._fast_phases(h)
+        """IF-RK4 in the co-moving frame with only the half-step propagator E.
+
+        With E(h) = E(h/2)^2 and a = E y the step reads
+            k2 = N(a + h/2 E k1),  k3 = N(a + h/2 k2),  k4 = N(E (a + h k3)),
+            y' = E (a + h/6 E k1 + h/3 (k2 + k3)) + h/6 k4,
+        and each stage is added into the sum as soon as it is known.
+        """
+        e = self._half_propagator(h)
         if k1 is None:
             k1 = self._nonlin_fast(y)
-        k2 = self._nonlin_fast(self._apply_uv(euh, evh, y + (0.5 * h) * k1))
-        k3 = self._nonlin_fast(self._apply_uv(euh, evh, y) + (0.5 * h) * k2)
-        k4 = self._nonlin_fast(self._apply_uv(eu1, ev1, y) + h * self._apply_uv(euh, evh, k3))
-        return self._apply_uv(eu1, ev1, y + (h / 6.0) * k1) + (h / 6.0) * (
-            2.0 * self._apply_uv(euh, evh, k2 + k3) + k4
-        )
+        a = self._propagate(e, y)
+        acc = self._propagate(e, k1)
+        arg = acc * (0.5 * h)
+        arg += a
+        acc *= h / 6.0
+        acc += a
+        k = self._nonlin_fast(arg)  # k2
+        k *= h / 3.0
+        acc += k
+        np.multiply(k, 1.5, out=arg)  # h/2 k2
+        arg += a
+        k = self._nonlin_fast(arg)  # k3
+        k *= h / 3.0
+        acc += k
+        np.multiply(k, 3.0, out=arg)  # h k3
+        arg += a
+        k = self._nonlin_fast(self._propagate(e, arg))  # k4
+        out = self._propagate(e, acc)
+        k *= h / 6.0
+        out += k
+        return out
 
     def _rates_fast(self, y, k1):
         kx, ky = self._kx_r, self._ky_r
@@ -466,8 +548,7 @@ class HalfWaveSolver:
 
     def step(self, state, h=None):
         """One integrating-factor RK4 step of size h (default grid.dt)."""
-        h = self.grid.dt if h is None else h
-        return self._to_public(self._step(self._to_internal(state), h))
+        return self.evolve(state, 1, h)
 
     def free_flow(self, state, t):
         """Exact linear propagation: each component picks up its phase."""
@@ -485,8 +566,8 @@ class HalfWaveSolver:
         each step and once more at the final time; the rates reuse the
         stage-one nonlinearity, so observation stays cheap."""
         h = self.grid.dt if h is None else h
-        if observer is None and self._fast_ready(state):
-            y = self._to_fast(state)
+        y = None if observer is not None else self._to_fast(state)
+        if y is not None:
             for i in range(n_steps):
                 y = self._step_fast(y, h)
                 self._check_finite(float(np.max(np.abs(y))), (i + 1) * h)
@@ -515,8 +596,10 @@ class HalfWaveSolver:
         three evolution-row residuals are recorded as well.
         """
         h = self.grid.dt if h is None else h
-        fast = self._fast_ready(state)
-        y = self._to_fast(state) if fast else self._to_internal(state)
+        y = self._to_fast(state)
+        fast = y is not None
+        if not fast:
+            y = self._to_internal(state)
         times, lorenz_vals, row_vals = [], [], []
         for i in range(n_steps + 1):
             t = i * h

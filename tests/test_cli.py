@@ -1,8 +1,12 @@
 import ast
 import csv
+import os
+import subprocess
+import sys
 
 import pytest
 
+import monopole_lab
 from monopole_lab.cli import (
     COMMANDS,
     SCHEMA,
@@ -99,6 +103,33 @@ def test_unusable_values_exit_2(tmp_path, capsys):
     assert "invalid value" in capsys.readouterr().err
     assert main(["simulate", "--out", str(tmp_path / "c"), "bogus=1"]) == 2
     assert "valid keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["simulate", "sample_every=0"], "sample_every must be at least 1"),
+        (["simulate", "steps=-5"], "steps must be at least 0"),
+        (["residuals", "sample_every=0"], "sample_every must be at least 1"),
+        (["verify-norms", "n_t=0"], "n_t must be at least 1"),
+        (["verify-null", "null_samples=0"], "null_samples must be at least 1"),
+    ],
+    ids=["simulate-sample_every", "simulate-steps", "residuals-sample_every",
+         "verify-norms-n_t", "verify-null-null_samples"],
+)
+def test_values_below_their_bound_exit_2(tmp_path, args, message):
+    # in a child process under a timeout: before the bounds existed the
+    # first case never ended
+    src = os.path.dirname(os.path.dirname(os.path.abspath(monopole_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "monopole_lab.cli", *args, "n=16", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "manifest.txt").exists()
 
 
 def test_unknown_flag_exits_2(tmp_path, capsys):

@@ -276,6 +276,71 @@ def test_fast_engine_rejects_inconsistent_states(rng):
     assert not HalfWaveSolver(grid)._fast_ready(swapped)
     assert not HalfWaveSolver(grid, force_general=True)._fast_ready(state)
 
+    # states the gate must refuse; the Nyquist and Hermitian ones pass every
+    # other test of the gate, while a trace also shifts the coefficient c3
+    n = grid.n_points
+    j = np.arange(n)
+    x, y = np.meshgrid(2 * np.pi * j / n, 2 * np.pi * j / n, indexing="ij")
+
+    def added(plus_extra, minus_extra):
+        u_plus, u_minus = state.u_plus.copy(), state.u_minus.copy()
+        u_plus[0] += plus_extra
+        u_minus[0] += minus_extra
+        return DiagonalState(grid, u_plus, u_minus, state.v_plus, state.v_minus)
+
+    # the mode kx = N/2, ky = 0, shared as the half-spectrum R shares it
+    nyquist = 0.05 * (-1.0) ** j[:, None, None, None] * SU2_GENERATORS[2]
+    hermitian = 0.1 * np.cos(y)[..., None, None] * (1j * SU2_GENERATORS[0])
+    trace = 0.1 * np.cos(x)[..., None, None] * (1j * np.eye(2))
+    refused = [
+        added(nyquist, nyquist),
+        added(0.0, hermitian),
+        added(0.0, trace),
+        random_diagonal_state(rng, grid, n=3, amplitude=0.4),  # su(3)
+    ]
+    general = HalfWaveSolver(grid, force_general=True)
+    for bad in refused:
+        assert not HalfWaveSolver(grid)._fast_ready(bad)
+        assert state_distance(HalfWaveSolver(grid).evolve(bad, 3), general.evolve(bad, 3)) < 1e-13
+
+
+def test_evolve_zero_steps_returns_the_state(rng):
+    grid = GridSpec(32, 2 * np.pi, 1e-3)
+    state = random_diagonal_state(rng, grid, amplitude=0.4)
+    solver = HalfWaveSolver(grid)
+    assert solver._fast_ready(state)
+    assert state_distance(solver.evolve(state, 0), state) < 1e-14 * state_max_abs(state)
+
+
+def test_fast_engine_exit_matches_diagonal_split(rng):
+    grid = GridSpec(32, 2 * np.pi, 1e-3)
+    state = random_diagonal_state(rng, grid, amplitude=0.4)
+    final = HalfWaveSolver(grid).evolve(state, 5)
+    oracle = diagonal_split(grid, final.u(), final.v())
+    assert state_distance(final, oracle) < 1e-14 * state_max_abs(final)
+
+
+def test_step_is_one_evolve_step(rng, grid):
+    state = random_diagonal_state(rng, grid, amplitude=0.4)
+    solver = HalfWaveSolver(grid)
+    assert solver._fast_ready(state)
+    assert state_distance(solver.step(state), solver.evolve(state, 1)) == 0.0
+    assert state_distance(solver.step(state, 2e-3), solver.evolve(state, 1, h=2e-3)) == 0.0
+
+
+def test_step_advances_complex_state_with_general_engine(grid):
+    # a complex multiple of one generator: not su(2)-valued, brackets vanish
+    n = grid.n_points
+    zero = np.zeros((2, n, n, 2, 2), dtype=complex)
+    pair_hat = zero.copy()
+    pair_hat[0, 1, 0] = SU2_GENERATORS[2]
+    state = DiagonalState(grid, fft_inverse(pair_hat, grid), zero, zero, zero)
+    solver = HalfWaveSolver(grid)
+    assert not solver._fast_ready(state)
+    stepped = solver.step(state, 0.3)
+    assert state_distance(stepped, state) > 0.1 * state_max_abs(state)
+    assert state_distance(stepped, solver.free_flow(state, 0.3)) < 1e-13
+
 
 def test_residual_record_matches_operator_evaluation(rng):
     grid = GridSpec(16, 2 * np.pi, 1e-3)
