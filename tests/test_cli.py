@@ -118,8 +118,8 @@ def test_unusable_values_exit_2(tmp_path, capsys):
          "verify-norms-n_t", "verify-null-null_samples"],
 )
 def test_values_below_their_bound_exit_2(tmp_path, args, message):
-    # in a child process under a timeout: before the bounds existed the
-    # first case never ended
+    # in a child process under a timeout, so that a run that never ends
+    # fails the test instead of hanging the suite
     src = os.path.dirname(os.path.dirname(os.path.abspath(monopole_lab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
