@@ -24,7 +24,6 @@ from .diagonal_system import (
     DiagonalState,
     HalfWaveSolver,
     ResidualRecord,
-    Trajectory,
     random_diagonal_state,
     state_distance,
     state_max_abs,
@@ -91,7 +90,6 @@ __all__ = [
     "ResidualRecord",
     "SpaceTimeSample",
     "TimeDerivatives",
-    "Trajectory",
     "alpha_dot",
     "angle",
     "apply_projection",

@@ -11,7 +11,7 @@ via repr so identical (config, seed) pairs reproduce identical bytes.
 Exit status 0 means every check of the run passed, 1 means a numerical
 check failed, 2 means the configuration was unusable.  The environment
 variable MONOPOLE_LAB_THREADS sets the number of FFT workers of the
-evolution engines (default 1).
+evolution engine (default 1).
 """
 
 import argparse
@@ -412,15 +412,18 @@ def _run_scaling(config, grid, rng, out_dir):
 
 
 def _run_probe_bilinear(config, grid, rng, out_dir):
-    rows = bilinear_sweep(
-        rng,
-        grid,
-        (1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0),
-        n_samples=config.probe_samples,
-        n_active=config.n_active,
-        n_t=config.probe_n_t,
-        t_window=config.t_window,
-    )
+    try:
+        rows = bilinear_sweep(
+            rng,
+            grid,
+            (1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0),
+            n_samples=config.probe_samples,
+            n_active=config.n_active,
+            n_t=config.probe_n_t,
+            t_window=config.t_window,
+        )
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     _write_dict_csv(os.path.join(out_dir, "probe.csv"), rows)
     ratios = np.array([row["ratio"] for row in rows])
     checks = [
@@ -482,7 +485,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="monopole-lab",
         description="Simulation and verification sweeps for the planar gauge system.",
-        epilog="MONOPOLE_LAB_THREADS sets the FFT workers of the evolution engines (default 1).",
+        epilog="MONOPOLE_LAB_THREADS sets the FFT workers of the evolution engine (default 1).",
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat key = value configuration file")

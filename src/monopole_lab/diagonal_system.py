@@ -16,29 +16,30 @@ the projected, dealiased nonlinearity is integrated.  A Duhamel
 fixed-point iteration on the same time grid is provided as an
 independent cross-check of the time stepper.
 
-Two interchangeable engines implement the step.  The general one tracks
-the four projected components as complex matrix fields and works for any
-su(n) and even for artificial complex states.  When the state is an
-honest su(2) configuration split consistently into its half waves, an
-equivalent fast engine evolves the unsplit pairs in the SU2_GENERATORS
-coefficient basis: physical fields are then real 3-vectors c, commutators
-are cross products, and the transforms are half-spectrum.  Entry and exit
-stay in that basis.  Let R be the operator with the real symbol
--i alpha . xi / |xi| (zero at xi = 0), acting on the pair index; R c is a
-real field and the half waves are
+One engine implements the step.  It evolves the unsplit su(2) pairs in
+the SU2_GENERATORS coefficient basis: physical fields are real 3-vectors
+c, commutators are cross products, and the transforms are half-spectrum.
+Entry and exit stay in that basis.  Let R be the operator with the real
+symbol -i alpha . xi / |xi| (zero at xi = 0), acting on the pair index;
+R c is a real field and the half waves are
     P_pm c = (c pm i R c) / 2.
-The entry reads the coefficients of each pair off the state and accepts
-the state only if its plus components equal su2_matrix((c + i R c) / 2);
-the exit builds u_pm and v_pm as su2_matrix((c pm i R c) / 2).  The exact linear
-propagator is the per-mode 2 x 2 matrix
+The entry reads the coefficients of each pair off the state.  It accepts
+only su(2) pairs that are anti-Hermitian and traceless, have empty
+Nyquist lines, and whose plus components equal su2_matrix((c + i R c) / 2);
+every public operation enters there and raises ValueError, naming the
+failed test, for any other state.  The exit builds u_pm and v_pm as
+su2_matrix((c pm i R c) / 2).  The exact linear propagator is the
+per-mode 2 x 2 matrix
     exp(pm i h alpha . xi) = cos(h|xi|) pm i sin(h|xi|) alpha . xihat
 acting on the pair index; since E(h) = E(h/2)^2 a step applies only the
 half-step one, four times.  Projection commutes with every stage, so the
-engines agree to rounding; tests enforce this.
+step agrees to rounding with a projected IF-RK4 on the matrix pairs;
+tests enforce this.
 
-Layout: public arrays keep the grid axes in front, (2, N, N, n, n) per
-pair.  Internally the grid axes go last so the transforms act on
-contiguous memory.
+Layout: public arrays keep the grid axes in front, (2, N, N, 2, 2) per
+component.  Internally the coefficient spectra have shape
+(2, 2, 3, N, N//2+1), for (u, v), the pair index and the coefficient,
+so the transforms act on contiguous memory.
 """
 
 import os
@@ -52,7 +53,6 @@ from .errors import DivergedError
 from .gauge_fields import (
     MonopoleConfig,
     TimeDerivatives,
-    lorenz_residual,
     monopole_residual,
     random_config,
     sup_norm,
@@ -62,12 +62,8 @@ from .grid_spectral import (
     apply_projection,
     fft_forward,
     fft_inverse,
-    projection_multipliers,
 )
 from .lie import anti_hermitian_defect, bracket, su2_coefficients, su2_matrix
-
-# sign of the phase i|xi| carried by (u_plus, u_minus, v_plus, v_minus)
-_COMPONENT_SIGNS = np.array([+1.0, -1.0, -1.0, +1.0])
 
 
 def _default_workers():
@@ -108,15 +104,6 @@ class DiagonalState:
 
     def v(self):
         return self.v_plus + self.v_minus
-
-
-@dataclass
-class Trajectory:
-    """Sampled evolution: times[j] holds the instant of states[j]."""
-
-    grid: GridSpec
-    times: np.ndarray
-    states: list
 
 
 @dataclass
@@ -230,19 +217,6 @@ def random_diagonal_state(rng, grid, n=2, amplitude=0.25, kmax=None, workers=1):
     return state_from_config(cfg, workers=workers)
 
 
-def _pack(component):
-    # (2, N, N, n, n) -> (2, n, n, N, N)
-    return np.ascontiguousarray(np.moveaxis(component, (1, 2), (3, 4)))
-
-
-def _unpack(component):
-    return np.ascontiguousarray(np.moveaxis(component, (3, 4), (1, 2)))
-
-
-def _matmul_stack(a, b):
-    return np.einsum("sijxy,sjkxy->sikxy", a, b)
-
-
 def _cross(a, b, out, tmp):
     """out = a x b over the leading length-3 axis; tmp is one scratch field."""
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -251,25 +225,20 @@ def _cross(a, b, out, tmp):
         out[i] -= tmp
 
 
-class HalfWaveSolver:
-    """Integrating-factor RK4 for the projected characteristic system."""
+def _require(test, what, defect, tol):
+    """The engine's entry refuses a state whose defect in one test exceeds tol."""
+    if defect > tol:
+        raise ValueError(f"{test} test failed: {what} is off by {defect:.3g} (tolerance {tol:.3g})")
 
-    def __init__(self, grid, workers=None, divergence_limit=1e6, force_general=False):
+
+class HalfWaveSolver:
+    """Integrating-factor RK4 for the projected characteristic system of su(2) pairs."""
+
+    def __init__(self, grid, workers=None, divergence_limit=1e6):
         self.grid = grid
         self.workers = _default_workers() if workers is None else workers
         self.divergence_limit = divergence_limit
-        self.force_general = force_general
-        # multiplier of the linear term, per component: sign * i|xi|
-        self._lam = (
-            _COMPONENT_SIGNS.reshape(4, 1, 1, 1, 1, 1)
-            * (1j * grid.kabs)[None, None, None, None]
-        )
-        self._proj = {
-            sign: projection_multipliers(sign, grid) for sign in (+1, -1)
-        }
-        self._keep = grid.dealias_mask
-        self._phase_cache = {}
-        # half-spectrum tables for the su(2) engine
+        # half-spectrum tables
         nh = grid.n_points // 2 + 1
         self._kx_r = grid.kx[:, :nh]
         self._ky_r = grid.ky[:, :nh]
@@ -279,103 +248,45 @@ class HalfWaveSolver:
             np.where(self._mag_r == 0.0, 0.0, self._kx_r / safe),
             np.where(self._mag_r == 0.0, 0.0, self._ky_r / safe),
         )
-        self._fast_phase_cache = {}
-        # scratch reused by every su(2) step: the nine product fields of
-        # the nonlinearity and one field each for partial results
+        self._propagators = {}
+        # scratch reused by every step: the nine product fields of the
+        # nonlinearity and one field each for partial results
         n = grid.n_points
         self._prod = np.empty((3, 3, n, n))
         self._tmp = np.empty((n, n))
         self._spec_tmp = np.empty((3, n, nh), dtype=np.complex128)
 
-    # representation changes -------------------------------------------------
+    # entry and exit ------------------------------------------------------------
 
-    def _to_internal(self, state):
-        stacked = np.stack([_pack(c) for c in state.components()])
-        return _fft.fft2(stacked, axes=(-2, -1), norm="ortho", workers=self.workers)
+    def _to_coeffs(self, state):
+        """Coefficient spectra of (u, v), shape (2, 2, 3, N, N//2+1).
 
-    def _to_public(self, y):
-        phys = _fft.ifft2(y, axes=(-2, -1), norm="ortho", workers=self.workers)
-        return DiagonalState(self.grid, *(_unpack(c) for c in phys))
-
-    # general engine ----------------------------------------------------------
-
-    def _apply_pair_multiplier(self, p, pair_hat):
-        return np.stack([
-            p[0, 0] * pair_hat[0] + p[0, 1] * pair_hat[1],
-            p[1, 0] * pair_hat[0] + p[1, 1] * pair_hat[1],
-        ])
-
-    def _nonlin(self, y):
-        """Projected dealiased nonlinearity of internal Fourier data."""
-        uv_hat = np.stack([y[0] + y[1], y[2] + y[3]])
-        uv = _fft.ifft2(uv_hat, axes=(-2, -1), norm="ortho", workers=self.workers)
-        u, v = uv[0], uv[1]
-        a = np.stack([u[0], u[1], u[1], v[1]])
-        b = np.stack([v[0], v[1], u[0], v[0]])
-        c = _matmul_stack(a, b) - _matmul_stack(b, a)
-        c_uv = 0.5 * (c[0] + c[1])
-        n_pair = np.stack([
-            np.stack([c_uv, c[2]]),       # N(u, v)
-            np.stack([-c_uv, c[3]]),      # N(v, u)
-        ])
-        n_hat = _fft.fft2(n_pair, axes=(-2, -1), norm="ortho", workers=self.workers)
-        out = np.empty_like(y)
-        out[0] = self._apply_pair_multiplier(self._proj[+1], n_hat[0])
-        out[1] = self._apply_pair_multiplier(self._proj[-1], n_hat[0])
-        out[2] = self._apply_pair_multiplier(self._proj[+1], n_hat[1])
-        out[3] = self._apply_pair_multiplier(self._proj[-1], n_hat[1])
-        out *= self._keep
-        return out
-
-    def _phases(self, h):
-        key = float(h)
-        if key not in self._phase_cache:
-            self._phase_cache[key] = (np.exp(h * self._lam), np.exp(0.5 * h * self._lam))
-        return self._phase_cache[key]
-
-    def _step(self, y, h, k1=None):
-        e1, eh = self._phases(h)
-        if k1 is None:
-            k1 = self._nonlin(y)
-        k2 = self._nonlin(eh * (y + (0.5 * h) * k1))
-        k3 = self._nonlin(eh * y + (0.5 * h) * k2)
-        k4 = self._nonlin(e1 * y + h * (eh * k3))
-        return e1 * (y + (h / 6.0) * k1) + (h / 6.0) * (2.0 * eh * (k2 + k3) + k4)
-
-    # su(2) engine ------------------------------------------------------------
-
-    def _to_fast(self, state):
-        """Coefficient spectra of (u, v), or None when the state needs the general engine.
-
-        Fast stepping needs real coefficient fields (anti-Hermitian, traceless
-        su(2) pairs), empty Nyquist lines, whose sign convention is not shared
-        by the half-spectrum transforms, and plus components that are the
-        actual projections (c + i R c) / 2 of their pairs.  All are tested at
-        1e-12 of the state's largest entry, one pair at a time.
+        The state must be an su(2) pair of real coefficient fields
+        (anti-Hermitian and traceless), with empty Nyquist lines, whose sign
+        convention is not shared by the half-spectrum transforms, and with
+        plus components that are the actual projections (c + i R c) / 2 of
+        their pairs.  All are tested at 1e-12 of the state's largest entry,
+        one pair at a time; a ValueError names the test that failed.
         """
-        if self.force_general or state.u_plus.shape[-1] != 2:
-            return None
+        size = state.u_plus.shape[-1]
+        if size != 2:
+            raise ValueError(f"su(2) rank test failed: the pairs hold {size} x {size} matrices")
         tol = 1e-12 * max(state_max_abs(state), 1e-30)
         nyq = self.grid.n_points // 2
         y = np.empty((2, 2, 3, *self._mag_r.shape), dtype=np.complex128)
-        for w, (plus, minus) in enumerate(
-            ((state.u_plus, state.u_minus), (state.v_plus, state.v_minus))
+        for w, (name, plus, minus) in enumerate(
+            (("u", state.u_plus, state.u_minus), ("v", state.v_plus, state.v_minus))
         ):
             pair = plus + minus
-            if anti_hermitian_defect(pair) > tol:
-                return None
+            _require("anti-Hermitian and traceless", f"the {name} pair", anti_hermitian_defect(pair), tol)
             c = np.moveaxis(su2_coefficients(pair).real, -1, 1)
             y[w] = _fft.rfft2(c, axes=(-2, -1), norm="ortho", workers=self.workers)
             nyquist = np.concatenate([y[w, ..., nyq, :], y[w, ..., nyq]], axis=-1)
-            if float(np.max(np.abs(su2_matrix(np.moveaxis(nyquist, 1, -1))))) > tol:
-                return None
-            if float(np.max(np.abs(self._plus_part(c, y[w]) - plus))) > tol:
-                return None
+            peak = float(np.max(np.abs(su2_matrix(np.moveaxis(nyquist, 1, -1)))))
+            _require("Nyquist", f"the Nyquist lines of the {name} pair", peak, tol)
+            gap = float(np.max(np.abs(self._plus_part(c, y[w]) - plus)))
+            _require("plus projection", f"{name}_plus against the plus projection of its pair", gap, tol)
         return y
-
-    def _fast_ready(self, state):
-        """True when the su(2) engine accepts the state."""
-        return self._to_fast(state) is not None
 
     def _plus_part(self, c, pair_hat):
         """su2_matrix((c + i R c) / 2) with grid axes in front: the plus projection.
@@ -395,13 +306,7 @@ class HalfWaveSolver:
         rc = _fft.irfft2(r_hat, s=(n, n), axes=(-2, -1), norm="ortho", workers=self.workers)
         return su2_matrix(np.moveaxis(0.5 * (c + 1j * rc), 1, -1))
 
-    def _fast_to_pairs(self, y):
-        n = self.grid.n_points
-        phys = _fft.irfft2(y, s=(n, n), axes=(-2, -1), norm="ortho", workers=self.workers)
-        mats = su2_matrix(np.moveaxis(phys, -3, -1))
-        return mats
-
-    def _from_fast(self, y):
+    def _to_state(self, y):
         """Split each pair into its half waves: P+- c = (c +- i R c) / 2."""
         n = self.grid.n_points
         comps = []
@@ -413,14 +318,16 @@ class HalfWaveSolver:
             comps += [plus, minus]
         return DiagonalState(self.grid, *comps)
 
+    # stepping ------------------------------------------------------------------
+
     def _half_propagator(self, h):
         """exp(+-i (h/2) alpha . xi) for u and v, shape (2, 2, 2, N, N//2+1)."""
         key = float(h)
-        if key not in self._fast_phase_cache:
-            self._fast_phase_cache[key] = np.stack(
+        if key not in self._propagators:
+            self._propagators[key] = np.stack(
                 [self._square_phase(0.5 * h), self._square_phase(-0.5 * h)]
             )
-        return self._fast_phase_cache[key]
+        return self._propagators[key]
 
     def _square_phase(self, h):
         """exp(i h alpha . xi) tabulated on the half-spectrum grid."""
@@ -445,7 +352,7 @@ class HalfWaveSolver:
                 out[w, i] += tmp
         return out
 
-    def _nonlin_fast(self, y):
+    def _nonlinearity(self, y):
         """Dealiased N(u, v) and N(v, u) of coefficient spectra; brackets are cross products."""
         n = self.grid.n_points
         u, v = _fft.irfft2(y, s=(n, n), axes=(-2, -1), norm="ortho", workers=self.workers)
@@ -471,7 +378,7 @@ class HalfWaveSolver:
         out[1, 1] = n_hat[2]
         return out
 
-    def _step_fast(self, y, h, k1=None):
+    def _step(self, y, h, k1=None):
         """IF-RK4 in the co-moving frame with only the half-step propagator E.
 
         With E(h) = E(h/2)^2 and a = E y the step reads
@@ -481,30 +388,32 @@ class HalfWaveSolver:
         """
         e = self._half_propagator(h)
         if k1 is None:
-            k1 = self._nonlin_fast(y)
+            k1 = self._nonlinearity(y)
         a = self._propagate(e, y)
         acc = self._propagate(e, k1)
         arg = acc * (0.5 * h)
         arg += a
         acc *= h / 6.0
         acc += a
-        k = self._nonlin_fast(arg)  # k2
+        k = self._nonlinearity(arg)  # k2
         k *= h / 3.0
         acc += k
         np.multiply(k, 1.5, out=arg)  # h/2 k2
         arg += a
-        k = self._nonlin_fast(arg)  # k3
+        k = self._nonlinearity(arg)  # k3
         k *= h / 3.0
         acc += k
         np.multiply(k, 3.0, out=arg)  # h k3
         arg += a
-        k = self._nonlin_fast(self._propagate(e, arg))  # k4
+        k = self._nonlinearity(self._propagate(e, arg))  # k4
         out = self._propagate(e, acc)
         k *= h / 6.0
         out += k
         return out
 
-    def _rates_fast(self, y, k1):
+    # rates and residuals -------------------------------------------------------
+
+    def _rates(self, y, k1):
         kx, ky = self._kx_r, self._ky_r
         out = np.empty_like(y)
         out[0, 0] = 1j * (kx * y[0, 0] + ky * y[0, 1]) + k1[0, 0]
@@ -513,8 +422,8 @@ class HalfWaveSolver:
         out[1, 1] = -1j * (ky * y[1, 0] - kx * y[1, 1]) + k1[1, 1]
         return out
 
-    def _lorenz_sup_fast(self, y, k1):
-        rates = self._rates_fast(y, k1)
+    def _lorenz_sup(self, y, k1):
+        rates = self._rates(y, k1)
         res_hat = 0.5 * (
             rates[0, 0] + rates[1, 0]
             - 1j * self._kx_r * (y[0, 0] - y[1, 0])
@@ -525,8 +434,11 @@ class HalfWaveSolver:
         # Frobenius norm from orthogonal generators with |e_a|^2 = 1/2
         return float(np.max(np.sqrt(0.5 * np.sum(res * res, axis=0))))
 
-    def _config_from_fast(self, y, k1):
-        mats = self._fast_to_pairs(np.stack([y, self._rates_fast(y, k1)]))
+    def _config_from(self, y, k1):
+        n = self.grid.n_points
+        both = np.stack([y, self._rates(y, k1)])
+        phys = _fft.irfft2(both, s=(n, n), axes=(-2, -1), norm="ortho", workers=self.workers)
+        mats = su2_matrix(np.moveaxis(phys, -3, -1))
         cfg = from_uv(self.grid, mats[0, 0], mats[0, 1])
         dts = uv_rates_to_derivatives(mats[1, 0], mats[1, 1])
         return cfg, dts
@@ -535,16 +447,13 @@ class HalfWaveSolver:
 
     def rhs(self, state):
         """Time derivative of every projected component, as a DiagonalState."""
-        y = self._to_internal(state)
-        return self._to_public(self._lam * y + self._nonlin(y))
-
-    def rhs_direct(self, state):
-        """Pair derivatives (dt u, dt v) from the undiagonalized system."""
-        return pair_rhs(self.grid, state.u(), state.v(), workers=self.workers)
+        y = self._to_coeffs(state)
+        return self._to_state(self._rates(y, self._nonlinearity(y)))
 
     def config_with_derivatives(self, state):
         """Bridge to the residual operators: fields plus evolution rates."""
-        return config_and_derivatives(state, self.rhs(state))
+        y = self._to_coeffs(state)
+        return self._config_from(y, self._nonlinearity(y))
 
     def step(self, state, h=None):
         """One integrating-factor RK4 step of size h (default grid.dt)."""
@@ -552,8 +461,8 @@ class HalfWaveSolver:
 
     def free_flow(self, state, t):
         """Exact linear propagation: each component picks up its phase."""
-        y = self._to_internal(state)
-        return self._to_public(np.exp(t * self._lam) * y)
+        e = np.stack([self._square_phase(t), self._square_phase(-t)])
+        return self._to_state(self._propagate(e, self._to_coeffs(state)))
 
     def _check_finite(self, peak, t):
         if not np.isfinite(peak) or peak > self.divergence_limit:
@@ -566,27 +475,16 @@ class HalfWaveSolver:
         each step and once more at the final time; the rates reuse the
         stage-one nonlinearity, so observation stays cheap."""
         h = self.grid.dt if h is None else h
-        y = None if observer is not None else self._to_fast(state)
-        if y is not None:
-            for i in range(n_steps):
-                y = self._step_fast(y, h)
-                self._check_finite(float(np.max(np.abs(y))), (i + 1) * h)
-            return self._from_fast(y)
-        y = self._to_internal(state)
-        t = 0.0
-        for i in range(n_steps):
+        y = self._to_coeffs(state)
+        for i in range(n_steps + 1):
+            k1 = None
             if observer is not None:
-                k1 = self._nonlin(y)
-                observer(i, t, self._to_public(y), self._to_public(self._lam * y + k1))
-            else:
-                k1 = None
-            y = self._step(y, h, k1=k1)
-            t = (i + 1) * h
-            self._check_finite(float(np.max(np.abs(y))), t)
-        if observer is not None:
-            k1 = self._nonlin(y)
-            observer(n_steps, t, self._to_public(y), self._to_public(self._lam * y + k1))
-        return self._to_public(y)
+                k1 = self._nonlinearity(y)
+                observer(i, i * h, self._to_state(y), self._to_state(self._rates(y, k1)))
+            if i < n_steps:
+                y = self._step(y, h, k1)
+                self._check_finite(float(np.max(np.abs(y))), (i + 1) * h)
+        return self._to_state(y)
 
     def evolve_with_residuals(self, state, n_steps, h=None, sample_every=1, rows=False):
         """Advance while recording residual sup norms from the evolution rates.
@@ -596,76 +494,51 @@ class HalfWaveSolver:
         three evolution-row residuals are recorded as well.
         """
         h = self.grid.dt if h is None else h
-        y = self._to_fast(state)
-        fast = y is not None
-        if not fast:
-            y = self._to_internal(state)
+        y = self._to_coeffs(state)
         times, lorenz_vals, row_vals = [], [], []
         for i in range(n_steps + 1):
-            t = i * h
             k1 = None
             if i % sample_every == 0 or i == n_steps:
-                times.append(t)
-                if fast:
-                    k1 = self._nonlin_fast(y)
-                    lorenz_vals.append(self._lorenz_sup_fast(y, k1))
-                    if rows:
-                        cfg, dts = self._config_from_fast(y, k1)
-                        row_vals.append([sup_norm(r) for r in monopole_residual(cfg, dts)])
-                else:
-                    k1 = self._nonlin(y)
-                    cfg, dts = config_and_derivatives(
-                        self._to_public(y), self._to_public(self._lam * y + k1)
-                    )
-                    lorenz_vals.append(sup_norm(lorenz_residual(cfg, dts)))
-                    if rows:
-                        row_vals.append([sup_norm(r) for r in monopole_residual(cfg, dts)])
+                k1 = self._nonlinearity(y)
+                times.append(i * h)
+                lorenz_vals.append(self._lorenz_sup(y, k1))
+                if rows:
+                    cfg, dts = self._config_from(y, k1)
+                    row_vals.append([sup_norm(r) for r in monopole_residual(cfg, dts)])
             if i < n_steps:
-                y = self._step_fast(y, h, k1=k1) if fast else self._step(y, h, k1=k1)
+                y = self._step(y, h, k1)
                 self._check_finite(float(np.max(np.abs(y))), (i + 1) * h)
-        final = self._from_fast(y) if fast else self._to_public(y)
         record = ResidualRecord(
             times=np.array(times),
             lorenz=np.array(lorenz_vals),
             rows=np.array(row_vals) if rows else None,
         )
-        return final, record
-
-    def trajectory(self, state, n_steps, h=None, store_every=1):
-        """Evolve while sampling every store_every steps (final state always)."""
-        times, states = [], []
-
-        def keep(i, t, s, rates):
-            if i % store_every == 0 or i == n_steps:
-                times.append(t)
-                states.append(s)
-
-        self.evolve(state, n_steps, h=h, observer=keep)
-        return Trajectory(self.grid, np.array(times), states)
+        return self._to_state(y), record
 
     # Duhamel iteration -------------------------------------------------------
 
     def picard_iterates(self, state, t_final, n_steps, n_iterations):
         """Fixed-point iterates of the Duhamel form at time t_final.
 
-        Iterate zero is the free flow; each pass integrates the projected
-        nonlinearity of the previous iterate with a cumulative Simpson rule
-        in the co-moving frame.  Returns the list of end states.
+        Iterate zero is the free flow; each pass integrates
+        E(-t_j) N(E(t_j) z_j) of the previous iterate z with a cumulative
+        Simpson rule in the co-moving frame.  Returns the list of end states.
         """
-        y0 = self._to_internal(state)
+        y0 = self._to_coeffs(state)
         times = np.linspace(0.0, t_final, n_steps + 1)
-        phases = np.exp(times.reshape(-1, 1, 1, 1, 1, 1, 1) * self._lam[None])
+        # E(t) for u and v; reversing the stack gives E(-t)
+        flows = [np.stack([self._square_phase(t), self._square_phase(-t)]) for t in times]
         z = np.broadcast_to(y0, (n_steps + 1, *y0.shape)).copy()
-        iterates = [self._to_public(phases[-1] * z[-1])]
+        iterates = [self._to_state(self._propagate(flows[-1], z[-1]))]
         for _ in range(n_iterations):
             g = np.empty_like(z)
-            for j in range(n_steps + 1):
-                g[j] = np.conj(phases[j]) * self._nonlin(phases[j] * z[j])
+            for j, e in enumerate(flows):
+                g[j] = self._propagate(e[::-1], self._nonlinearity(self._propagate(e, z[j])))
             # cumulative_simpson is real-only, so integrate the parts
             integral = (
                 cumulative_simpson(g.real, x=times, axis=0, initial=0.0)
                 + 1j * cumulative_simpson(g.imag, x=times, axis=0, initial=0.0)
             )
             z = y0[None] + integral
-            iterates.append(self._to_public(phases[-1] * z[-1]))
+            iterates.append(self._to_state(self._propagate(flows[-1], z[-1])))
         return iterates

@@ -378,11 +378,18 @@ def key_bilinear_probe(phi_tilde, psi_tilde, grid, params, sign, t_window=2.0, w
 
 
 def random_positive_coeffs(rng, grid, n_t, n_active, index_cap=None):
-    """Sparse nonnegative Fourier data inside a quarter band (no wrap)."""
+    """Sparse nonnegative Fourier data inside a quarter band (no wrap).
+
+    Modes are placed by rejection, so n_active must not exceed the number
+    of distinct slots in the band; a ValueError says so before any draw.
+    """
     n = grid.n_points
     if index_cap is None:
         index_cap = n // 4
     t_cap = max(n_t // 4, 1)
+    slots = min(2 * t_cap + 1, n_t) * min(2 * index_cap + 1, n) ** 2
+    if n_active > slots:
+        raise ValueError(f"n_active={n_active} exceeds the {slots} slots of the quarter band")
     data = np.zeros((n_t, n, n))
     placed = 0
     while placed < n_active:

@@ -68,7 +68,7 @@ def su2_coefficients(x):
         raise ValueError(f"expected trailing (2, 2) axes, got {x.shape}")
     c1 = 1j * (x[..., 0, 1] + x[..., 1, 0])
     c2 = x[..., 1, 0] - x[..., 0, 1]
-    c3 = 2j * x[..., 0, 0]
+    c3 = 1j * (x[..., 0, 0] - x[..., 1, 1])
     return np.stack([c1, c2, c3], axis=-1)
 
 

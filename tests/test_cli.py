@@ -103,6 +103,24 @@ def test_unusable_values_exit_2(tmp_path, capsys):
     assert "invalid value" in capsys.readouterr().err
     assert main(["simulate", "--out", str(tmp_path / "c"), "bogus=1"]) == 2
     assert "valid keys" in capsys.readouterr().err
+    args = ["probe-bilinear", "--out", str(tmp_path / "d"), "n=64", "n_active=5000", "probe_samples=1"]
+    assert main(args) == 2
+    assert "cap is 4096" in capsys.readouterr().err
+
+
+def _assert_usage_error_in_child(tmp_path, args, message):
+    # in a child process under a timeout, so that a run that never ends
+    # fails the test instead of hanging the suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(monopole_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "monopole_lab.cli", *args, "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize(
@@ -118,18 +136,16 @@ def test_unusable_values_exit_2(tmp_path, capsys):
          "verify-norms-n_t", "verify-null-null_samples"],
 )
 def test_values_below_their_bound_exit_2(tmp_path, args, message):
-    # in a child process under a timeout, so that a run that never ends
-    # fails the test instead of hanging the suite
-    src = os.path.dirname(os.path.dirname(os.path.abspath(monopole_lab.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-m", "monopole_lab.cli", *args, "n=16", "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=60, env=env,
+    _assert_usage_error_in_child(tmp_path, [*args, "n=16"], message)
+
+
+def test_probe_more_active_modes_than_band_slots_exits_2(tmp_path):
+    # the default quarter band has 9 x 17 x 17 slots; placing more modes by
+    # rejection used to never end
+    _assert_usage_error_in_child(
+        tmp_path, ["probe-bilinear", "n_active=3000", "probe_samples=1"],
+        "n_active=3000 exceeds the 2601 slots",
     )
-    assert done.returncode == 2
-    assert message in done.stderr
-    assert "Traceback" not in done.stderr
-    assert not (tmp_path / "manifest.txt").exists()
 
 
 def test_unknown_flag_exits_2(tmp_path, capsys):

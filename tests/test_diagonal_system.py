@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -33,6 +35,8 @@ from monopole_lab.grid_spectral import (
 )
 from monopole_lab.lie import SU2_GENERATORS, anti_hermitian_defect
 
+from reference_stepper import reference_evolve
+
 
 def test_to_uv_round_trip(rng, grid):
     cfg = random_config(rng, grid)
@@ -65,30 +69,27 @@ def test_rhs_projected_and_direct_agree(rng, grid):
     state = random_diagonal_state(rng, grid, amplitude=0.5)
     solver = HalfWaveSolver(grid)
     rates = solver.rhs(state)
-    du, dv = solver.rhs_direct(state)
+    du, dv = pair_rhs(grid, state.u(), state.v())
     scale = max(np.max(np.abs(du)), 1.0)
     assert np.max(np.abs(rates.u() - du)) < 1e-12 * scale
     assert np.max(np.abs(rates.v() - dv)) < 1e-12 * scale
 
 
 def test_free_flow_phases_single_mode(grid):
+    # cos(x) e3 in the first slot of a pair: on the 2 pi torus the mode
+    # xi = (1, 0) is a plus wave of that pair and xi = (-1, 0) a minus wave
     n = grid.n_points
-    e3 = SU2_GENERATORS[2]
-    zero = np.zeros((2, n, n, 2, 2), dtype=complex)
-    pair_hat = zero.copy()
-    pair_hat[0, 1, 0] = e3  # mode (1, 0) on the 2 pi torus: |xi| = 1
-    bump = fft_inverse(pair_hat, grid)
-    solver = HalfWaveSolver(grid)
-
-    out = solver.free_flow(DiagonalState(grid, bump, zero, zero, zero), 0.3)
-    out_hat = fft_forward(out.u_plus, grid)
-    assert_allclose(out_hat[0, 1, 0], np.exp(0.3j) * e3, atol=1e-13)
-    leak = DiagonalState(grid, zero, out.u_minus, out.v_plus, out.v_minus)
-    assert state_max_abs(leak) < 1e-15
-
-    out_v = solver.free_flow(DiagonalState(grid, zero, zero, bump, zero), 0.3)
-    v_hat = fft_forward(out_v.v_plus, grid)
-    assert_allclose(v_hat[0, 1, 0], np.exp(-0.3j) * e3, atol=1e-13)
+    x = grid.length * np.arange(n) / n
+    pair = np.zeros((2, n, n, 2, 2), dtype=complex)
+    pair[0] = np.cos(x)[:, None, None, None] * SU2_GENERATORS[2]
+    state = diagonal_split(grid, pair, pair)
+    out = HalfWaveSolver(grid).free_flow(state, 0.3)
+    # u_plus and v_minus turn by e^{+0.3i}, u_minus and v_plus by e^{-0.3i};
+    # each component stays on its own mode, so nothing leaks into the others
+    for before, after, sign in zip(state.components(), out.components(), (1, -1, -1, 1)):
+        before_hat = fft_forward(before, grid)
+        assert np.max(np.abs(before_hat)) > 1.0
+        assert_allclose(fft_forward(after, grid), np.exp(0.3j * sign) * before_hat, atol=1e-13)
 
 
 def test_step_equals_free_flow_without_nonlinearity(rng, grid):
@@ -227,16 +228,6 @@ def test_rhs_matches_finite_difference_in_time(rng):
     assert 1.8 < order < 2.3
 
 
-def test_trajectory_sampling(rng, grid):
-    state = random_diagonal_state(rng, grid, amplitude=0.2)
-    solver = HalfWaveSolver(grid)
-    traj = solver.trajectory(state, 6, h=1e-3, store_every=2)
-    assert_allclose(traj.times, [0.0, 2e-3, 4e-3, 6e-3], atol=1e-15)
-    assert len(traj.states) == 4
-    direct = solver.evolve(state, 6, h=1e-3)
-    assert state_distance(traj.states[-1], direct) < 1e-14
-
-
 def test_evolve_raises_on_divergence(rng, grid):
     state = random_diagonal_state(rng, grid, amplitude=0.5)
     solver = HalfWaveSolver(grid, divergence_limit=1e-12)
@@ -257,27 +248,35 @@ def test_picard_iterates_converge_to_evolution(rng):
     assert state_distance(iters[-1], reference) < 1e-6
 
 
-def test_fast_and_general_engines_agree(rng):
+def test_evolve_matches_reference_stepper(rng):
     grid = GridSpec(16, 2 * np.pi, 1e-3)
     state = random_diagonal_state(rng, grid, amplitude=0.4)
-    solver = HalfWaveSolver(grid)
-    assert solver._fast_ready(state)
-    fast = solver.evolve(state, 20)
-    slow = HalfWaveSolver(grid, force_general=True).evolve(state, 20)
-    assert state_distance(fast, slow) < 1e-12 * state_max_abs(state)
+    engine = HalfWaveSolver(grid).evolve(state, 20)
+    reference = reference_evolve(state, 20, grid.dt)
+    assert state_distance(engine, reference) < 1e-12 * state_max_abs(state)
+
+
+def test_reference_gap_catches_a_flipped_propagator_sign(rng, monkeypatch):
+    # the agreement leg of AC4 can fail: flip the off-diagonal sign of the
+    # exact linear propagator and the gap to the reference opens
+    grid = GridSpec(16, 2 * np.pi, 1e-3)
+    state = random_diagonal_state(rng, grid, amplitude=0.4)
+    square_phase = HalfWaveSolver._square_phase
+
+    def flipped(self, h):
+        e = square_phase(self, h)
+        e[0, 1] *= -1.0
+        e[1, 0] *= -1.0
+        return e
+
+    monkeypatch.setattr(HalfWaveSolver, "_square_phase", flipped)
+    engine = HalfWaveSolver(grid).evolve(state, 20)
+    assert state_distance(engine, reference_evolve(state, 20, grid.dt)) > 1e-3
 
 
 def test_fast_engine_rejects_inconsistent_states(rng):
     grid = GridSpec(16, 2 * np.pi, 1e-3)
     state = random_diagonal_state(rng, grid, amplitude=0.4)
-    # swapping the halves breaks "plus component = plus projection"
-    swapped = DiagonalState(grid, state.u_minus, state.u_plus,
-                            state.v_plus, state.v_minus)
-    assert not HalfWaveSolver(grid)._fast_ready(swapped)
-    assert not HalfWaveSolver(grid, force_general=True)._fast_ready(state)
-
-    # states the gate must refuse; the Nyquist and Hermitian ones pass every
-    # other test of the gate, while a trace also shifts the coefficient c3
     n = grid.n_points
     j = np.arange(n)
     x, y = np.meshgrid(2 * np.pi * j / n, 2 * np.pi * j / n, indexing="ij")
@@ -292,23 +291,39 @@ def test_fast_engine_rejects_inconsistent_states(rng):
     nyquist = 0.05 * (-1.0) ** j[:, None, None, None] * SU2_GENERATORS[2]
     hermitian = 0.1 * np.cos(y)[..., None, None] * (1j * SU2_GENERATORS[0])
     trace = 0.1 * np.cos(x)[..., None, None] * (1j * np.eye(2))
+    # a complex multiple of one generator, whose brackets vanish
+    zero = np.zeros((2, n, n, 2, 2), dtype=complex)
+    bump_hat = zero.copy()
+    bump_hat[0, 1, 0] = SU2_GENERATORS[2]
+    # each state with the test that refuses it; the Nyquist, Hermitian and
+    # trace states pass every other test of the gate
     refused = [
-        added(nyquist, nyquist),
-        added(0.0, hermitian),
-        added(0.0, trace),
-        random_diagonal_state(rng, grid, n=3, amplitude=0.4),  # su(3)
+        (DiagonalState(grid, state.u_minus, state.u_plus, state.v_plus, state.v_minus),
+         "plus projection"),
+        (added(nyquist, nyquist), "Nyquist"),
+        (added(0.0, hermitian), "anti-Hermitian and traceless"),
+        (added(0.0, trace), "anti-Hermitian and traceless"),
+        (random_diagonal_state(rng, grid, n=3, amplitude=0.4), "su(2) rank"),
+        (DiagonalState(grid, fft_inverse(bump_hat, grid), zero, zero, zero),
+         "anti-Hermitian and traceless"),
     ]
-    general = HalfWaveSolver(grid, force_general=True)
-    for bad in refused:
-        assert not HalfWaveSolver(grid)._fast_ready(bad)
-        assert state_distance(HalfWaveSolver(grid).evolve(bad, 3), general.evolve(bad, 3)) < 1e-13
+    solver = HalfWaveSolver(grid)
+    entries = (
+        lambda s: solver.evolve(s, 3),
+        lambda s: solver.evolve_with_residuals(s, 3),
+        solver.rhs,
+        lambda s: solver.free_flow(s, 0.3),
+    )
+    for bad, test in refused:
+        for entry in entries:
+            with pytest.raises(ValueError, match=re.escape(f"{test} test failed")):
+                entry(bad)
 
 
 def test_evolve_zero_steps_returns_the_state(rng):
     grid = GridSpec(32, 2 * np.pi, 1e-3)
     state = random_diagonal_state(rng, grid, amplitude=0.4)
     solver = HalfWaveSolver(grid)
-    assert solver._fast_ready(state)
     assert state_distance(solver.evolve(state, 0), state) < 1e-14 * state_max_abs(state)
 
 
@@ -323,32 +338,16 @@ def test_fast_engine_exit_matches_diagonal_split(rng):
 def test_step_is_one_evolve_step(rng, grid):
     state = random_diagonal_state(rng, grid, amplitude=0.4)
     solver = HalfWaveSolver(grid)
-    assert solver._fast_ready(state)
     assert state_distance(solver.step(state), solver.evolve(state, 1)) == 0.0
     assert state_distance(solver.step(state, 2e-3), solver.evolve(state, 1, h=2e-3)) == 0.0
-
-
-def test_step_advances_complex_state_with_general_engine(grid):
-    # a complex multiple of one generator: not su(2)-valued, brackets vanish
-    n = grid.n_points
-    zero = np.zeros((2, n, n, 2, 2), dtype=complex)
-    pair_hat = zero.copy()
-    pair_hat[0, 1, 0] = SU2_GENERATORS[2]
-    state = DiagonalState(grid, fft_inverse(pair_hat, grid), zero, zero, zero)
-    solver = HalfWaveSolver(grid)
-    assert not solver._fast_ready(state)
-    stepped = solver.step(state, 0.3)
-    assert state_distance(stepped, state) > 0.1 * state_max_abs(state)
-    assert state_distance(stepped, solver.free_flow(state, 0.3)) < 1e-13
 
 
 def test_residual_record_matches_operator_evaluation(rng):
     grid = GridSpec(16, 2 * np.pi, 1e-3)
     state = random_diagonal_state(rng, grid, amplitude=0.4)
     solver = HalfWaveSolver(grid)
-    final_fast, record = solver.evolve_with_residuals(state, 8, rows=True)
+    final, record = solver.evolve_with_residuals(state, 8, rows=True)
 
-    general = HalfWaveSolver(grid, force_general=True)
     lorenz_ref, rows_ref = [], []
 
     def watch(i, t, s, rates):
@@ -356,26 +355,27 @@ def test_residual_record_matches_operator_evaluation(rng):
         lorenz_ref.append(sup_norm(lorenz_residual(cfg, dts)))
         rows_ref.append([sup_norm(r) for r in monopole_residual(cfg, dts)])
 
-    final_general = general.evolve(state, 8, observer=watch)
+    observed = solver.evolve(state, 8, observer=watch)
 
-    assert state_distance(final_fast, final_general) < 1e-13
+    assert state_distance(final, observed) < 1e-13
     assert record.times.shape == (9,)
     assert record.rows.shape == (9, 3)
     # the gauge constraint cancels identically in both accountings
     assert np.max(record.lorenz) < 1e-12
     assert max(lorenz_ref) < 1e-12
-    # row residuals are honest O(h * amplitude^2) numbers; engines agree
+    # row residuals are honest O(h * amplitude^2) numbers; the record's
+    # coefficient-space evaluation agrees with the operators on the states
     assert_allclose(record.rows, np.array(rows_ref), rtol=1e-6, atol=1e-13)
 
 
-def test_residual_record_general_path_matches_fast_path(rng):
+def test_residual_record_sampling_matches_every_step(rng):
     grid = GridSpec(16, 2 * np.pi, 1e-3)
     state = random_diagonal_state(rng, grid, amplitude=0.3)
-    fast_final, fast_rec = HalfWaveSolver(grid).evolve_with_residuals(
-        state, 6, sample_every=3, rows=True)
-    gen_final, gen_rec = HalfWaveSolver(grid, force_general=True).evolve_with_residuals(
-        state, 6, sample_every=3, rows=True)
-    assert_allclose(fast_rec.times, [0.0, 3e-3, 6e-3], atol=1e-15)
-    assert_allclose(gen_rec.times, fast_rec.times, atol=1e-15)
-    assert state_distance(fast_final, gen_final) < 1e-13
-    assert_allclose(fast_rec.rows, gen_rec.rows, rtol=1e-6, atol=1e-13)
+    solver = HalfWaveSolver(grid)
+    every_final, every = solver.evolve_with_residuals(state, 6, rows=True)
+    final, sampled = solver.evolve_with_residuals(state, 6, sample_every=3, rows=True)
+    assert_allclose(sampled.times, [0.0, 3e-3, 6e-3], atol=1e-15)
+    assert_allclose(sampled.times, every.times[::3], atol=0)
+    assert_allclose(sampled.lorenz, every.lorenz[::3], rtol=1e-13, atol=0)
+    assert_allclose(sampled.rows, every.rows[::3], rtol=1e-13, atol=0)
+    assert state_distance(final, every_final) < 1e-14 * state_max_abs(state)

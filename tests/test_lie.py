@@ -135,6 +135,12 @@ def test_su2_coefficients_round_trip(rng):
         assert_allclose(su2_coefficients(SU2_GENERATORS[a]), unit, atol=1e-15)
 
 
+def test_su2_coefficients_ignore_the_trace():
+    from monopole_lab.lie import su2_coefficients
+
+    assert_allclose(su2_coefficients(0.3j * np.eye(2)), np.zeros(3), atol=0)
+
+
 def test_su2_bracket_is_cross_product(rng):
     from monopole_lab.lie import su2_coefficients, su2_matrix
 
