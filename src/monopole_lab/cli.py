@@ -34,6 +34,7 @@ from .errors import DivergedError
 from .fl_norms import (
     NormParams,
     bilinear_sweep,
+    check_active_modes,
     embedding_check,
     embedding_constant,
     free_wave_sample,
@@ -225,10 +226,18 @@ def _grid_from(config):
         raise UsageError(str(err)) from None
 
 
+def _initial_state(config, grid, rng):
+    """Random su(2) data for the solver, which refuses data on the Nyquist lines."""
+    if config.kmax >= grid.n_points // 2:
+        raise UsageError(
+            f"kmax must be below n/2 = {grid.n_points // 2}, got {config.kmax!r}: "
+            "the solver refuses data on the Nyquist lines"
+        )
+    return random_diagonal_state(rng, grid, amplitude=config.amplitude, kmax=config.kmax)
+
+
 def _run_simulate(config, grid, rng, out_dir):
-    state = random_diagonal_state(
-        rng, grid, amplitude=config.amplitude, kmax=config.kmax
-    )
+    state = _initial_state(config, grid, rng)
     solver = HalfWaveSolver(grid)
     rows = [(0, 0.0, float(np.max(np.abs(state.u()))), float(np.max(np.abs(state.v()))))]
     checks = []
@@ -258,9 +267,7 @@ def _run_simulate(config, grid, rng, out_dir):
 
 
 def _run_residuals(config, grid, rng, out_dir):
-    state = random_diagonal_state(
-        rng, grid, amplitude=config.amplitude, kmax=config.kmax
-    )
+    state = _initial_state(config, grid, rng)
     solver = HalfWaveSolver(grid)
     checks = []
     try:
@@ -413,17 +420,18 @@ def _run_scaling(config, grid, rng, out_dir):
 
 def _run_probe_bilinear(config, grid, rng, out_dir):
     try:
-        rows = bilinear_sweep(
-            rng,
-            grid,
-            (1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0),
-            n_samples=config.probe_samples,
-            n_active=config.n_active,
-            n_t=config.probe_n_t,
-            t_window=config.t_window,
-        )
+        check_active_modes(grid, config.probe_n_t, config.n_active)
     except ValueError as err:
         raise UsageError(str(err)) from None
+    rows = bilinear_sweep(
+        rng,
+        grid,
+        (1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0),
+        n_samples=config.probe_samples,
+        n_active=config.n_active,
+        n_t=config.probe_n_t,
+        t_window=config.t_window,
+    )
     _write_dict_csv(os.path.join(out_dir, "probe.csv"), rows)
     ratios = np.array([row["ratio"] for row in rows])
     checks = [

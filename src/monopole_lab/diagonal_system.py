@@ -26,8 +26,9 @@ R c is a real field and the half waves are
 The entry reads the coefficients of each pair off the state.  It accepts
 only su(2) pairs that are anti-Hermitian and traceless, have empty
 Nyquist lines, and whose plus components equal su2_matrix((c + i R c) / 2);
-every public operation enters there and raises ValueError, naming the
-failed test, for any other state.  The exit builds u_pm and v_pm as
+every stepping operation enters there and raises ValueError, naming the
+failed test, for any other state.  config_with_derivatives alone takes its
+rates from the pair_rhs oracle and accepts pairs of any rank.  The exit builds u_pm and v_pm as
 su2_matrix((c pm i R c) / 2).  The exact linear propagator is the
 per-mode 2 x 2 matrix
     exp(pm i h alpha . xi) = cos(h|xi|) pm i sin(h|xi|) alpha . xihat
@@ -151,12 +152,6 @@ def uv_rates_to_derivatives(du, dv):
         dt_a2=0.5 * (du[1] - dv[1]),
         dt_phi=0.5 * (du[1] + dv[1]),
     )
-
-
-def config_and_derivatives(state, rates):
-    """Configuration plus per-field time derivatives from a state and its rates."""
-    cfg = from_uv(state.grid, state.u(), state.v())
-    return cfg, uv_rates_to_derivatives(rates.u(), rates.v())
 
 
 def pair_nonlinearity(u, v):
@@ -451,9 +446,14 @@ class HalfWaveSolver:
         return self._to_state(self._rates(y, self._nonlinearity(y)))
 
     def config_with_derivatives(self, state):
-        """Bridge to the residual operators: fields plus evolution rates."""
-        y = self._to_coeffs(state)
-        return self._config_from(y, self._nonlinearity(y))
+        """Bridge to the residual operators: fields plus evolution rates.
+
+        The rates come from the pair_rhs oracle, not from the engine, so a
+        residual evaluated here checks the engine independently; any rank.
+        """
+        u, v = state.u(), state.v()
+        rates = pair_rhs(self.grid, u, v, workers=self.workers)
+        return from_uv(self.grid, u, v), uv_rates_to_derivatives(*rates)
 
     def step(self, state, h=None):
         """One integrating-factor RK4 step of size h (default grid.dt)."""

@@ -377,19 +377,35 @@ def key_bilinear_probe(phi_tilde, psi_tilde, grid, params, sign, t_window=2.0, w
     return BilinearProbeResult(lhs=lhs, rhs_phi=rhs_phi, rhs_psi=rhs_psi, transform=out)
 
 
+def check_active_modes(grid, n_t, n_active, index_cap=None):
+    """Raise ValueError unless n_active probe modes fit the quarter band and the cap.
+
+    random_positive_coeffs places modes by rejection, so more modes than
+    the band's distinct slots would never be placed; key_bilinear_probe
+    refuses more than MAX_ACTIVE_MODES.
+    """
+    n = grid.n_points
+    index_cap = n // 4 if index_cap is None else index_cap
+    slots = min(2 * max(n_t // 4, 1) + 1, n_t) * min(2 * index_cap + 1, n) ** 2
+    if n_active > slots:
+        raise ValueError(f"n_active={n_active} exceeds the {slots} slots of the quarter band")
+    if n_active > MAX_ACTIVE_MODES:
+        raise ValueError(
+            f"n_active={n_active} exceeds the mode cap of the probe (cap is {MAX_ACTIVE_MODES})"
+        )
+
+
 def random_positive_coeffs(rng, grid, n_t, n_active, index_cap=None):
     """Sparse nonnegative Fourier data inside a quarter band (no wrap).
 
-    Modes are placed by rejection, so n_active must not exceed the number
-    of distinct slots in the band; a ValueError says so before any draw.
+    check_active_modes refuses an n_active that cannot be placed before
+    any draw.
     """
+    check_active_modes(grid, n_t, n_active, index_cap)
     n = grid.n_points
     if index_cap is None:
         index_cap = n // 4
     t_cap = max(n_t // 4, 1)
-    slots = min(2 * t_cap + 1, n_t) * min(2 * index_cap + 1, n) ** 2
-    if n_active > slots:
-        raise ValueError(f"n_active={n_active} exceeds the {slots} slots of the quarter band")
     data = np.zeros((n_t, n, n))
     placed = 0
     while placed < n_active:

@@ -148,6 +148,13 @@ def test_probe_more_active_modes_than_band_slots_exits_2(tmp_path):
     )
 
 
+
+@pytest.mark.parametrize("command", ["simulate", "residuals"])
+def test_data_on_the_nyquist_lines_exits_2(tmp_path, command):
+    # n=8 is a valid grid, but the default kmax=5 reaches its Nyquist
+    # lines, which the solver's entry refuses
+    _assert_usage_error_in_child(tmp_path, [command, "n=8"], "kmax must be below n/2 = 4")
+
 def test_unknown_flag_exits_2(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path), "--sed", "3"]) == 2
     assert "unrecognized" in capsys.readouterr().err

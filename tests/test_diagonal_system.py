@@ -8,7 +8,6 @@ from scipy.integrate import solve_ivp
 from monopole_lab.diagonal_system import (
     DiagonalState,
     HalfWaveSolver,
-    config_and_derivatives,
     diagonal_split,
     from_uv,
     pair_rhs,
@@ -17,6 +16,7 @@ from monopole_lab.diagonal_system import (
     state_from_config,
     state_max_abs,
     to_uv,
+    uv_rates_to_derivatives,
 )
 from monopole_lab.errors import DivergedError
 from monopole_lab.gauge_fields import (
@@ -36,6 +36,11 @@ from monopole_lab.grid_spectral import (
 from monopole_lab.lie import SU2_GENERATORS, anti_hermitian_defect
 
 from reference_stepper import reference_evolve
+
+
+def _fields_and_rates(state, rates):
+    """Configuration and per-field time derivatives of a state and its rates."""
+    return from_uv(state.grid, state.u(), state.v()), uv_rates_to_derivatives(rates.u(), rates.v())
 
 
 def test_to_uv_round_trip(rng, grid):
@@ -177,7 +182,7 @@ def test_lorenz_residual_vanishes_along_flow(rng, grid):
 
     def watch(_i, _t, s, rates):
         nonlocal worst
-        cfg, dts = config_and_derivatives(s, rates)
+        cfg, dts = _fields_and_rates(s, rates)
         worst = max(worst, sup_norm(lorenz_residual(cfg, dts)))
 
     solver.evolve(state, 10, observer=watch)
@@ -193,6 +198,14 @@ def test_monopole_residual_vanishes_for_band_limited_data(rng, grid):
     assert max(sup_norm(r) for r in monopole_residual(cfg, dts)) < 1e-11
 
 
+
+def test_config_with_derivatives_takes_su3_pairs(rng, grid):
+    # the bridge reads its rates off the pair_rhs oracle, which is rank
+    # generic, while the stepping engine refuses su(3)
+    state = random_diagonal_state(rng, grid, n=3, amplitude=0.4, kmax=grid.n_points // 6)
+    cfg, dts = HalfWaveSolver(grid).config_with_derivatives(state)
+    assert max(sup_norm(r) for r in monopole_residual(cfg, dts)) < 1e-11
+
 def test_monopole_residual_in_band_vanishes_along_flow(rng, grid):
     # the evolved state fills the whole dealias band and raw products then
     # spill past it; what the flow solves exactly is the band-limited part
@@ -203,7 +216,7 @@ def test_monopole_residual_in_band_vanishes_along_flow(rng, grid):
 
     def watch(_i, _t, s, rates):
         nonlocal worst
-        cfg, dts = config_and_derivatives(s, rates)
+        cfg, dts = _fields_and_rates(s, rates)
         rows = np.stack(monopole_residual(cfg, dts))
         in_band = dealias(fft_forward(rows, grid), grid)
         worst = max(worst, float(np.max(np.abs(in_band))))
@@ -351,7 +364,7 @@ def test_residual_record_matches_operator_evaluation(rng):
     lorenz_ref, rows_ref = [], []
 
     def watch(i, t, s, rates):
-        cfg, dts = config_and_derivatives(s, rates)
+        cfg, dts = _fields_and_rates(s, rates)
         lorenz_ref.append(sup_norm(lorenz_residual(cfg, dts)))
         rows_ref.append([sup_norm(r) for r in monopole_residual(cfg, dts)])
 
