@@ -43,7 +43,6 @@ component.  Internally the coefficient spectra have shape
 so the transforms act on contiguous memory.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,13 +64,6 @@ from .grid_spectral import (
     fft_inverse,
 )
 from .lie import anti_hermitian_defect, bracket, su2_coefficients, su2_matrix
-
-
-def _default_workers():
-    try:
-        return max(1, int(os.environ.get("MONOPOLE_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -162,17 +154,17 @@ def pair_nonlinearity(u, v):
     return n_u, n_v
 
 
-def pair_rhs(grid, u, v, workers=1):
+def pair_rhs(grid, u, v):
     """Time derivatives (dt u, dt v) of the undiagonalized pair system.
 
     The gradient terms are spectral and the bilinear terms are dealiased,
     matching what the projected right-hand side sums to.
     """
-    uhat = fft_forward(u, grid, workers=workers)
-    vhat = fft_forward(v, grid, workers=workers)
+    uhat = fft_forward(u, grid)
+    vhat = fft_forward(v, grid)
     n_u, n_v = pair_nonlinearity(u, v)
-    nu_hat = fft_forward(n_u, grid, workers=workers)
-    nv_hat = fft_forward(n_v, grid, workers=workers)
+    nu_hat = fft_forward(n_u, grid)
+    nv_hat = fft_forward(n_v, grid)
     kx = grid.kx[..., None, None]
     ky = grid.ky[..., None, None]
     keep = grid.dealias_mask[..., None, None]
@@ -184,32 +176,32 @@ def pair_rhs(grid, u, v, workers=1):
         -1j * (kx * vhat[0] + ky * vhat[1]) + keep * nv_hat[0],
         -1j * (ky * vhat[0] - kx * vhat[1]) + keep * nv_hat[1],
     ])
-    du = fft_inverse(du_hat, grid, workers=workers)
-    dv = fft_inverse(dv_hat, grid, workers=workers)
+    du = fft_inverse(du_hat, grid)
+    dv = fft_inverse(dv_hat, grid)
     return du, dv
 
 
-def diagonal_split(grid, u, v, workers=1):
+def diagonal_split(grid, u, v):
     """Project the pairs onto the two half waves and return the state."""
-    uhat = fft_forward(u, grid, workers=workers)
-    vhat = fft_forward(v, grid, workers=workers)
+    uhat = fft_forward(u, grid)
+    vhat = fft_forward(v, grid)
     comps = []
     for pair_hat in (uhat, vhat):
         for sign in (+1, -1):
             proj = apply_projection(sign, pair_hat, grid)
-            comps.append(fft_inverse(proj, grid, workers=workers))
+            comps.append(fft_inverse(proj, grid))
     return DiagonalState(grid, *comps)
 
 
-def state_from_config(cfg, workers=1):
+def state_from_config(cfg):
     u, v = to_uv(cfg)
-    return diagonal_split(cfg.grid, u, v, workers=workers)
+    return diagonal_split(cfg.grid, u, v)
 
 
-def random_diagonal_state(rng, grid, n=2, amplitude=0.25, kmax=None, workers=1):
+def random_diagonal_state(rng, grid, n=2, amplitude=0.25, kmax=None):
     """Random band-limited initial data, already projected."""
     cfg = random_config(rng, grid, n=n, amplitude=amplitude, kmax=kmax)
-    return state_from_config(cfg, workers=workers)
+    return state_from_config(cfg)
 
 
 def _cross(a, b, out, tmp):
@@ -229,9 +221,8 @@ def _require(test, what, defect, tol):
 class HalfWaveSolver:
     """Integrating-factor RK4 for the projected characteristic system of su(2) pairs."""
 
-    def __init__(self, grid, workers=None, divergence_limit=1e6):
+    def __init__(self, grid, divergence_limit=1e6):
         self.grid = grid
-        self.workers = _default_workers() if workers is None else workers
         self.divergence_limit = divergence_limit
         # half-spectrum tables
         nh = grid.n_points // 2 + 1
@@ -275,7 +266,7 @@ class HalfWaveSolver:
             pair = plus + minus
             _require("anti-Hermitian and traceless", f"the {name} pair", anti_hermitian_defect(pair), tol)
             c = np.moveaxis(su2_coefficients(pair).real, -1, 1)
-            y[w] = _fft.rfft2(c, axes=(-2, -1), norm="ortho", workers=self.workers)
+            y[w] = _fft.rfft2(c, axes=(-2, -1), norm="ortho")
             nyquist = np.concatenate([y[w, ..., nyq, :], y[w, ..., nyq]], axis=-1)
             peak = float(np.max(np.abs(su2_matrix(np.moveaxis(nyquist, 1, -1)))))
             _require("Nyquist", f"the Nyquist lines of the {name} pair", peak, tol)
@@ -298,7 +289,7 @@ class HalfWaveSolver:
         r_hat[1] -= h1 * pair_hat[1]
         r_hat *= -1j
         n = self.grid.n_points
-        rc = _fft.irfft2(r_hat, s=(n, n), axes=(-2, -1), norm="ortho", workers=self.workers)
+        rc = _fft.irfft2(r_hat, s=(n, n), axes=(-2, -1), norm="ortho")
         return su2_matrix(np.moveaxis(0.5 * (c + 1j * rc), 1, -1))
 
     def _to_state(self, y):
@@ -306,7 +297,7 @@ class HalfWaveSolver:
         n = self.grid.n_points
         comps = []
         for pair_hat in y:
-            c = _fft.irfft2(pair_hat, s=(n, n), axes=(-2, -1), norm="ortho", workers=self.workers)
+            c = _fft.irfft2(pair_hat, s=(n, n), axes=(-2, -1), norm="ortho")
             plus = self._plus_part(c, pair_hat)
             minus = su2_matrix(np.moveaxis(c, 1, -1))
             minus -= plus
@@ -350,7 +341,7 @@ class HalfWaveSolver:
     def _nonlinearity(self, y):
         """Dealiased N(u, v) and N(v, u) of coefficient spectra; brackets are cross products."""
         n = self.grid.n_points
-        u, v = _fft.irfft2(y, s=(n, n), axes=(-2, -1), norm="ortho", workers=self.workers)
+        u, v = _fft.irfft2(y, s=(n, n), axes=(-2, -1), norm="ortho")
         prod, tmp = self._prod, self._tmp
         # rows: (u0 x v0 + u1 x v1) / 2, u1 x u0, v1 x v0; the first row of
         # N(v, u) is minus that of N(u, v), so it is not transformed again
@@ -360,7 +351,7 @@ class HalfWaveSolver:
         prod[0] *= 0.5
         _cross(u[1], u[0], prod[1], tmp)
         _cross(v[1], v[0], prod[2], tmp)
-        n_hat = _fft.rfft2(prod, axes=(-2, -1), norm="ortho", workers=self.workers)
+        n_hat = _fft.rfft2(prod, axes=(-2, -1), norm="ortho")
         # two-thirds rule as in grid.dealias_mask: zero the slabs with
         # |k_index| > N/3 along either axis
         cut = n // 3
@@ -425,14 +416,14 @@ class HalfWaveSolver:
             - 1j * self._ky_r * (y[0, 1] - y[1, 1])
         )
         n = self.grid.n_points
-        res = _fft.irfft2(res_hat, s=(n, n), axes=(-2, -1), norm="ortho", workers=self.workers)
+        res = _fft.irfft2(res_hat, s=(n, n), axes=(-2, -1), norm="ortho")
         # Frobenius norm from orthogonal generators with |e_a|^2 = 1/2
         return float(np.max(np.sqrt(0.5 * np.sum(res * res, axis=0))))
 
     def _config_from(self, y, k1):
         n = self.grid.n_points
         both = np.stack([y, self._rates(y, k1)])
-        phys = _fft.irfft2(both, s=(n, n), axes=(-2, -1), norm="ortho", workers=self.workers)
+        phys = _fft.irfft2(both, s=(n, n), axes=(-2, -1), norm="ortho")
         mats = su2_matrix(np.moveaxis(phys, -3, -1))
         cfg = from_uv(self.grid, mats[0, 0], mats[0, 1])
         dts = uv_rates_to_derivatives(mats[1, 0], mats[1, 1])
@@ -452,7 +443,7 @@ class HalfWaveSolver:
         residual evaluated here checks the engine independently; any rank.
         """
         u, v = state.u(), state.v()
-        rates = pair_rhs(self.grid, u, v, workers=self.workers)
+        rates = pair_rhs(self.grid, u, v)
         return from_uv(self.grid, u, v), uv_rates_to_derivatives(*rates)
 
     def step(self, state, h=None):

@@ -45,6 +45,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as _fft
 
 from .errors import DegenerateInputError
 from .grid_spectral import GridSpec, dilate
@@ -126,10 +127,9 @@ class SpaceTimeSample:
 
     def transform(self):
         """Space-time Fourier data on the zero-padded (tau, xi) lattice."""
-        n = self.values.shape[1]
-        coeffs = np.fft.fft2(self.values, axes=(1, 2)) / n**2
+        coeffs = _fft.fft2(self.values, axes=(1, 2), norm="forward")
         pad = [(0, (self.tau_pad - 1) * self.n_t)] + [(0, 0)] * (coeffs.ndim - 1)
-        tilde = self.dt * np.fft.fft(np.pad(coeffs, pad), axis=0)
+        tilde = self.dt * _fft.fft(np.pad(coeffs, pad), axis=0)
         phase = np.exp(1j * self.taus() * self.t_window)
         return tilde * phase.reshape((phase.size,) + (1,) * (self.values.ndim - 1))
 
@@ -159,7 +159,7 @@ def hsp_norm(field, grid, s, p, homogeneous=False):
     n = grid.n_points
     if field.shape[:2] != (n, n):
         raise ValueError(f"field shape {field.shape} does not match grid n={n}")
-    coeffs = np.fft.fft2(field, axes=(0, 1)) / n**2
+    coeffs = _fft.fft2(field, axes=(0, 1), norm="forward")
     mag = _magnitude(coeffs, 2)
     weight = _spatial_weight(grid, s, homogeneous)
     cell = (2.0 * np.pi / grid.length) ** 2
@@ -174,7 +174,7 @@ def hbp_norm_1d(profile, t_window, b, p, tau_pad=4):
     dt = 2.0 * t_window / n_t
     taus = tau_lattice(tau_pad * n_t, tau_pad * t_window)
     padded = np.pad(profile, (0, (tau_pad - 1) * n_t))
-    hat = dt * np.fft.fft(padded) * np.exp(1j * taus * t_window)
+    hat = dt * _fft.fft(padded) * np.exp(1j * taus * t_window)
     weight = (1.0 + taus**2) ** (0.5 * b)
     dtau = np.pi / (tau_pad * t_window)
     return float(np.sum((weight * np.abs(hat)) ** pprime * dtau) ** (1.0 / pprime))
@@ -223,10 +223,10 @@ def free_wave_sample(grid, field, sign, t_window=2.0, n_t=256, window=None, tau_
         profile = np.asarray(window, dtype=float)
         if profile.shape != (n_t,):
             raise ValueError(f"window shape {profile.shape} does not match n_t={n_t}")
-    hat = np.fft.fft2(field, axes=(0, 1))
+    hat = _fft.fft2(field, axes=(0, 1))
     extra = (1,) * (field.ndim - 2)
     phases = np.exp(1j * sign * times[:, np.newaxis, np.newaxis] * grid.kabs)
-    waves = np.fft.ifft2(phases.reshape((n_t, n, n) + extra) * hat, axes=(1, 2))
+    waves = _fft.ifft2(phases.reshape((n_t, n, n) + extra) * hat, axes=(1, 2))
     values = profile.reshape((n_t,) + (1, 1) + extra) * waves
     return SpaceTimeSample(values=values, t_window=t_window, window=profile, tau_pad=tau_pad)
 

@@ -17,16 +17,20 @@ Setting F = *D phi componentwise reproduces the three evolution rows in
 monopole_residual, which are implemented independently as a cross-check.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
-from .grid_spectral import GridSpec, _check_field, band_mask, dilate, random_band_limited
+from .grid_spectral import (
+    GridSpec,
+    _check_field,
+    band_mask,
+    dilate,
+    fft_forward,
+    fft_inverse,
+    random_band_limited,
+)
 from .lie import bracket, conjugate, dagger, random_lie, lie_expm, su_basis
-
-_HEADER = struct.Struct("<IdId")
 
 
 @dataclass
@@ -73,11 +77,9 @@ class TimeDerivatives:
 
 def spatial_gradient(field, grid):
     """Spectral (d1 f, d2 f) of a physical field (..., N, N, n, n)."""
-    spec = _fft.fft2(np.asarray(field), axes=(-4, -3), norm="ortho")
-    w1 = (1j * grid.kx)[..., None, None]
-    w2 = (1j * grid.ky)[..., None, None]
-    d1 = _fft.ifft2(w1 * spec, axes=(-4, -3), norm="ortho")
-    d2 = _fft.ifft2(w2 * spec, axes=(-4, -3), norm="ortho")
+    spec = fft_forward(field, grid)
+    d1 = fft_inverse((1j * grid.kx)[..., None, None] * spec, grid)
+    d2 = fft_inverse((1j * grid.ky)[..., None, None] * spec, grid)
     return d1, d2
 
 
@@ -119,12 +121,11 @@ def monopole_residual(cfg, dts):
         dt a2 - d2 a0 + d1 phi = [a2, a0] + [phi, a1]
     """
     a0, a1, a2, phi = cfg.fields()
-    d1a0, d2a0 = spatial_gradient(a0, cfg.grid)
-    d1a2, d2a1 = spatial_gradient(a2, cfg.grid)[0], spatial_gradient(a1, cfg.grid)[1]
-    d1phi, d2phi = spatial_gradient(phi, cfg.grid)
-    r1 = dts.dt_phi + d1a2 - d2a1 - bracket(a2, a1) - bracket(phi, a0)
-    r2 = dts.dt_a1 - d1a0 - d2phi - bracket(a1, a0) - bracket(a2, phi)
-    r3 = dts.dt_a2 - d2a0 + d1phi - bracket(a2, a0) - bracket(phi, a1)
+    # one transform of the stacked fields; d1[k], d2[k] follow (a0, a1, a2, phi)
+    d1, d2 = spatial_gradient(np.stack(cfg.fields()), cfg.grid)
+    r1 = dts.dt_phi + d1[2] - d2[1] - bracket(a2, a1) - bracket(phi, a0)
+    r2 = dts.dt_a1 - d1[0] - d2[3] - bracket(a1, a0) - bracket(a2, phi)
+    r3 = dts.dt_a2 - d2[0] + d1[3] - bracket(a2, a0) - bracket(phi, a1)
     return r1, r2, r3
 
 
@@ -210,36 +211,10 @@ def random_gauge_map(rng, grid, n=2, amplitude=0.4, kmax=3):
     """
     x = amplitude * random_lie(rng, n=n, shape=(grid.n_points, grid.n_points))
     x = np.asarray(x, dtype=np.complex128)
-    spec = _fft.fft2(x, axes=(0, 1), norm="ortho") * band_mask(grid, kmax)[..., None, None]
-    x = _fft.ifft2(spec, axes=(0, 1), norm="ortho")
+    x = fft_inverse(fft_forward(x, grid) * band_mask(grid, kmax)[..., None, None], grid)
     x = 0.5 * (x - dagger(x))  # restore exact anti-Hermiticity after masking
     x = x - np.trace(x, axis1=-2, axis2=-1)[..., None, None] * np.eye(n) / n
     o = lie_expm(x)
     d1o, d2o = spatial_gradient(o, grid)
     return o, (d1o, d2o)
 
-
-def save_snapshot(path, cfg, time=0.0):
-    """Binary snapshot: little-endian header (N, L, n, time) then the four
-    fields row-major as interleaved float64 real/imag pairs, in the order
-    a0, a1, a2, phi."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(cfg.grid.n_points, cfg.grid.length, cfg.matrix_dim, time))
-        for field in cfg.fields():
-            fh.write(np.ascontiguousarray(field).astype("<c16").tobytes())
-
-
-def load_snapshot(path, dt=1e-3):
-    """Inverse of save_snapshot; the time step is not stored, pass it in."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        n_points, length, n, time = _HEADER.unpack(raw)
-        grid = GridSpec(n_points, length, dt)
-        count = n_points * n_points * n * n
-        fields = []
-        for _ in range(4):
-            buf = fh.read(count * 16)
-            arr = np.frombuffer(buf, dtype="<c16").reshape(n_points, n_points, n, n)
-            fields.append(arr.astype(np.complex128))
-    cfg = MonopoleConfig(grid=grid, a0=fields[0], a1=fields[1], a2=fields[2], phi=fields[3])
-    return cfg, time

@@ -17,8 +17,6 @@ from functools import cached_property
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import DegenerateInputError
-
 ALPHA1 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 ALPHA2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 BETA = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=np.complex128)
@@ -89,16 +87,16 @@ def _check_field(field, grid):
     return field
 
 
-def fft_forward(field, grid, workers=1):
+def fft_forward(field, grid):
     """Physical to Fourier, unitary normalization, over the grid axes."""
     field = _check_field(field, grid)
-    return _fft.fft2(field, axes=(-4, -3), norm="ortho", workers=workers)
+    return _fft.fft2(field, axes=(-4, -3), norm="ortho")
 
 
-def fft_inverse(field, grid, workers=1):
+def fft_inverse(field, grid):
     """Fourier to physical, unitary normalization, over the grid axes."""
     field = _check_field(field, grid)
-    return _fft.ifft2(field, axes=(-4, -3), norm="ortho", workers=workers)
+    return _fft.ifft2(field, axes=(-4, -3), norm="ortho")
 
 
 def alpha_dot(xi):
@@ -129,11 +127,6 @@ def projection_matrices(sign, xi):
     return np.where(mag[..., None, None] == 0.0, 0.5 * np.eye(2, dtype=np.complex128), out)
 
 
-def projection_matrix(sign, xi):
-    """Single-frequency convenience wrapper around projection_matrices."""
-    return projection_matrices(sign, np.asarray(xi, dtype=float).reshape(2))
-
-
 def projection_multipliers(sign, grid):
     """Entries of P(sign, xi) tabulated on the grid; shape (2, 2, N, N)."""
     if sign not in (+1, -1):
@@ -150,44 +143,17 @@ def projection_multipliers(sign, grid):
     return p
 
 
-def apply_projection(sign, pair, grid, multipliers=None):
+def apply_projection(sign, pair, grid):
     """Apply the wave projection modewise to a Fourier pair (2, N, N, n, n)."""
     pair = np.asarray(pair)
     if pair.ndim != 5 or pair.shape[0] != 2:
         raise ValueError(f"pair must have shape (2, N, N, n, n), got {pair.shape}")
     _check_field(pair[0], grid)
-    p = projection_multipliers(sign, grid) if multipliers is None else multipliers
-    w = p[..., None, None]
+    w = projection_multipliers(sign, grid)[..., None, None]
     out = np.empty_like(pair)
     out[0] = w[0, 0] * pair[0] + w[0, 1] * pair[1]
     out[1] = w[1, 0] * pair[0] + w[1, 1] * pair[1]
     return out
-
-
-def apply_absD(field, grid, power):
-    """Multiply a Fourier field by |xi|^power.
-
-    The zero mode is annihilated for power > 0 and left alone for power = 0.
-    For power < 0 the zero mode of the input must vanish; otherwise the
-    operation is undefined and DegenerateInputError is raised.
-    """
-    field = _check_field(field, grid)
-    if power == 0:
-        return field.copy()
-    mag = grid.kabs
-    if power < 0:
-        zero_amp = np.max(np.abs(field[..., 0, 0, :, :]))
-        scale = np.max(np.abs(field))
-        if zero_amp > 1e-13 * max(scale, 1e-300):
-            raise DegenerateInputError(
-                f"negative power {power} needs a vanishing zero mode, "
-                f"got amplitude {zero_amp:.3e}"
-            )
-        safe = np.where(mag == 0.0, 1.0, mag)
-        mult = np.where(mag == 0.0, 0.0, safe**power)
-    else:
-        mult = mag**power
-    return field * mult[..., None, None]
 
 
 def dealias(field, grid):
@@ -215,19 +181,6 @@ def random_band_limited(rng, grid, kmax, shape=(), scale=1.0):
     rms = np.sqrt(np.mean(out**2, axis=(-2, -1), keepdims=True))
     rms = np.where(rms == 0.0, 1.0, rms)
     return scale * out / rms
-
-
-def lie_symmetry_defect(fourier_field, grid):
-    """How far a Fourier field is from representing an su(n)-valued field.
-
-    A physical field g is anti-Hermitian traceless iff its coefficients
-    satisfy g_hat(-k) = -g_hat(k)^H and tr g_hat(k) = 0 for every mode.
-    """
-    f = _check_field(fourier_field, grid)
-    flipped = np.roll(f[..., ::-1, ::-1, :, :], shift=(1, 1), axis=(-4, -3))
-    herm = np.max(np.abs(flipped + np.conj(np.swapaxes(f, -1, -2))))
-    tr = np.max(np.abs(np.trace(f, axis1=-2, axis2=-1)))
-    return max(float(herm), float(tr))
 
 
 def dilate(field, grid, lam):

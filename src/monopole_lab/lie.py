@@ -51,12 +51,6 @@ def conjugate(o, x):
     return o @ x @ dagger(o)
 
 
-def frobenius_norm(x):
-    """Entrywise l2 norm over the trailing matrix axes."""
-    x = np.asarray(x)
-    return np.sqrt(np.sum(np.abs(x) ** 2, axis=(-2, -1)))
-
-
 def su2_coefficients(x):
     """Coefficients of a traceless 2 x 2 matrix in the SU2_GENERATORS basis.
 
@@ -104,14 +98,6 @@ def unitary_defect(o):
     gram = np.max(np.abs(o @ dagger(o) - eye))
     det = np.max(np.abs(np.linalg.det(o) - 1.0))
     return max(float(gram), float(det))
-
-
-def is_lie(x, tol=1e-10):
-    return anti_hermitian_defect(x) <= tol
-
-
-def is_special_unitary(o, tol=1e-10):
-    return unitary_defect(o) <= tol
 
 
 def su_basis(n):

@@ -16,8 +16,10 @@ regression baselines rather than asserted as universal truths.
 
 Conventions: frequencies are real 2-vectors on the trailing axis and
 every operation broadcasts over leading axes.  Angles live in [0, pi]
-and come from a clamped arccos, so parallel pairs hit the endpoints
-exactly.  Ratios raise on the degenerate sets where both sides vanish.
+and come from arctan2 of the cross and dot products, which keeps full
+relative accuracy near 0 and pi (an arccos of the cosine loses half the
+digits there); exactly parallel pairs hit the endpoints.  Ratios raise
+on the degenerate sets where both sides vanish.
 """
 
 from dataclasses import dataclass
@@ -43,8 +45,8 @@ def angle(a, b):
     mb = _magnitude(b)
     if np.any(ma == 0.0) or np.any(mb == 0.0):
         raise DegenerateInputError("angle needs nonzero vectors")
-    cos = np.sum(a * b, axis=-1) / (ma * mb)
-    return np.arccos(np.clip(cos, -1.0, 1.0))
+    cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return np.arctan2(np.abs(cross), np.sum(a * b, axis=-1))
 
 
 def r_plus(xi, eta):

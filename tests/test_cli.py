@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import monopole_lab
+from monopole_lab import null_geometry
 from monopole_lab.cli import (
     COMMANDS,
     SCHEMA,
@@ -206,13 +208,27 @@ def test_residuals_csv_columns_and_constraint_check(tmp_path):
 
 
 def test_verify_null_small_sweep(tmp_path):
-    out = tmp_path / "run"
-    assert main(["verify-null", "--out", str(out), "--seed", "0", "null_samples=2000"]) == 0
-    env = dict(read_csv(out / "null_envelopes.csv")[1:])
-    assert float(env["c_sym"]) <= 0.5 + 1e-6
-    paths = read_csv(out / "null_paths.csv")
-    assert paths[0] == ["path", "base_angle", "theta", "symbol_norm"]
-    assert len(paths) == 1 + 10 * 11
+    # seed 31 at the default null_samples draws nearly collinear pairs, on
+    # which an angle that loses digits near 0 overshoots the symbol bound
+    for seed, extra in (("0", ["null_samples=2000"]), ("31", [])):
+        out = tmp_path / f"seed{seed}"
+        assert main(["verify-null", "--out", str(out), "--seed", seed, *extra]) == 0
+        env = dict(read_csv(out / "null_envelopes.csv")[1:])
+        assert float(env["c_sym"]) <= 0.5 + 1e-9
+        paths = read_csv(out / "null_paths.csv")
+        assert paths[0] == ["path", "base_angle", "theta", "symbol_norm"]
+        assert len(paths) == 1 + 10 * 11
+
+
+def test_verify_null_fails_with_a_clamped_arccos_angle(tmp_path, monkeypatch):
+    def clamped_arccos_angle(a, b):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        norms = np.hypot(a[..., 0], a[..., 1]) * np.hypot(b[..., 0], b[..., 1])
+        return np.arccos(np.clip(np.sum(a * b, axis=-1) / norms, -1.0, 1.0))
+
+    monkeypatch.setattr(null_geometry, "angle", clamped_arccos_angle)
+    assert main(["verify-null", "--out", str(tmp_path / "run"), "--seed", "31"]) == 1
 
 
 def test_verify_cone_default_run(tmp_path, capsys):

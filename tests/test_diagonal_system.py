@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.fft
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
@@ -346,6 +347,15 @@ def test_fast_engine_exit_matches_diagonal_split(rng):
     final = HalfWaveSolver(grid).evolve(state, 5)
     oracle = diagonal_split(grid, final.u(), final.v())
     assert state_distance(final, oracle) < 1e-14 * state_max_abs(final)
+
+
+def test_fft_workers_from_scipy_do_not_change_the_evolution(rng, grid32):
+    state = random_diagonal_state(rng, grid32, amplitude=0.4)
+    solver = HalfWaveSolver(grid32)
+    default = solver.evolve(state, 3)
+    with scipy.fft.set_workers(2):
+        threaded = solver.evolve(state, 3)
+    assert state_distance(threaded, default) == 0.0
 
 
 def test_step_is_one_evolve_step(rng, grid):

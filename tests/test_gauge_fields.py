@@ -9,7 +9,6 @@ from monopole_lab.gauge_fields import (
     curvature,
     gauge_transform,
     hodge_dual_covariant,
-    load_snapshot,
     lorenz_residual,
     monopole_residual,
     monopole_residual_via_dual,
@@ -17,7 +16,6 @@ from monopole_lab.gauge_fields import (
     random_derivatives,
     random_gauge_map,
     rescale,
-    save_snapshot,
     spatial_gradient,
     sup_norm,
 )
@@ -200,14 +198,3 @@ def test_rescale_identity_and_single_mode(rng, grid):
     assert_allclose(scaled.a1, 2.0 * cfg.a1, atol=0)
     with pytest.raises(ValueError):
         rescale(cfg, 1.5)
-
-
-def test_snapshot_round_trip(rng, grid, tmp_path):
-    cfg = random_config(rng, grid)
-    path = tmp_path / "state.bin"
-    save_snapshot(path, cfg, time=0.625)
-    loaded, time = load_snapshot(path, dt=grid.dt)
-    assert time == 0.625
-    assert loaded.grid == grid
-    for a, b in zip(loaded.fields(), cfg.fields()):
-        assert np.array_equal(a, b)

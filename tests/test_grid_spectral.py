@@ -4,27 +4,22 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from monopole_lab.errors import DegenerateInputError
 from monopole_lab.grid_spectral import (
     ALPHA1,
     ALPHA2,
     BETA,
     GridSpec,
     alpha_dot,
-    apply_absD,
     apply_projection,
     band_mask,
     dealias,
     dilate,
     fft_forward,
     fft_inverse,
-    lie_symmetry_defect,
     projection_matrices,
-    projection_matrix,
     projection_multipliers,
     random_band_limited,
 )
-from monopole_lab.lie import random_lie
 
 
 def random_pair(rng, grid, n=2):
@@ -72,11 +67,11 @@ def test_fft_constant_field_hits_zero_mode(grid):
 
 
 def test_projection_matrix_axis_examples():
-    assert_allclose(projection_matrix(+1, (1.0, 0.0)), [[1, 0], [0, 0]], atol=1e-15)
-    assert_allclose(projection_matrix(-1, (1.0, 0.0)), [[0, 0], [0, 1]], atol=1e-15)
-    assert_allclose(projection_matrix(+1, (0.0, 2.0)), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
-    assert_allclose(projection_matrix(+1, (0.0, 0.0)), 0.5 * np.eye(2), atol=1e-15)
-    assert_allclose(projection_matrix(-1, (0.0, 0.0)), 0.5 * np.eye(2), atol=1e-15)
+    assert_allclose(projection_matrices(+1, (1.0, 0.0)), [[1, 0], [0, 0]], atol=1e-15)
+    assert_allclose(projection_matrices(-1, (1.0, 0.0)), [[0, 0], [0, 1]], atol=1e-15)
+    assert_allclose(projection_matrices(+1, (0.0, 2.0)), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+    assert_allclose(projection_matrices(+1, (0.0, 0.0)), 0.5 * np.eye(2), atol=1e-15)
+    assert_allclose(projection_matrices(-1, (0.0, 0.0)), 0.5 * np.eye(2), atol=1e-15)
 
 
 def test_projection_identities_random_frequencies(rng):
@@ -119,8 +114,8 @@ def test_projection_identities_hypothesis(x1, x2):
     # idempotency and orthogonality need a direction, so skip the origin
     # (there the convention P = I/2 only keeps completeness)
     xi = np.array([x1, x2])
-    pp = projection_matrix(+1, xi)
-    pm = projection_matrix(-1, xi)
+    pp = projection_matrices(+1, xi)
+    pm = projection_matrices(-1, xi)
     if np.hypot(x1, x2) > 0:
         assert np.max(np.abs(pp @ pp - pp)) < 1e-12
         assert np.max(np.abs(pp @ pm)) < 1e-12
@@ -157,42 +152,6 @@ def test_apply_projection_idempotent_orthogonal(rng, grid):
     assert np.max(np.abs(apply_projection(-1, plus, grid))) < 1e-12
 
 
-def test_apply_absD_identity_and_composition(rng, grid):
-    f = random_pair(rng, grid)[0]
-    assert_allclose(apply_absD(f, grid, 0), f, atol=0)
-    two_halves = apply_absD(apply_absD(f, grid, 0.5), grid, 0.5)
-    assert_allclose(two_halves, apply_absD(f, grid, 1.0), atol=1e-12)
-
-
-def test_apply_absD_single_mode(grid):
-    n = grid.n_points
-    f = np.zeros((n, n, 2, 2), dtype=complex)
-    f[2, 3, 0, 0] = 1.0
-    out = apply_absD(f, grid, 1.0)
-    expected = np.hypot(grid.wavenumbers[2], grid.wavenumbers[3])
-    assert_allclose(out[2, 3, 0, 0], expected, rtol=1e-14)
-
-
-def test_apply_absD_zero_mode_rules(grid):
-    n = grid.n_points
-    f = np.zeros((n, n, 2, 2), dtype=complex)
-    f[0, 0] = np.eye(2)
-    assert np.max(np.abs(apply_absD(f, grid, 1.0))) == 0.0
-    with pytest.raises(DegenerateInputError):
-        apply_absD(f, grid, -0.5)
-    f[0, 0] = 0.0
-    f[1, 0, 0, 1] = 2.0
-    out = apply_absD(f, grid, -1.0)
-    assert_allclose(out[1, 0, 0, 1], 2.0 / np.abs(grid.wavenumbers[1]), rtol=1e-14)
-
-
-def test_absD_commutes_with_projection(rng, grid):
-    pair = random_pair(rng, grid)
-    a = apply_absD(apply_projection(+1, pair, grid), grid, 1.0)
-    b = apply_projection(+1, apply_absD(pair, grid, 1.0), grid)
-    assert_allclose(a, b, atol=1e-12)
-
-
 def test_projection_multipliers_agree_with_matrices(grid):
     p = projection_multipliers(-1, grid)
     xi = np.stack([grid.kx, grid.ky], axis=-1)
@@ -224,15 +183,6 @@ def test_random_band_limited_is_real_and_band_limited(rng, grid):
     spec = np.fft.fft2(f, axes=(-2, -1))
     hi = ~band_mask(grid, 3)
     assert np.max(np.abs(spec[:, hi])) < 1e-10 * np.max(np.abs(spec))
-
-
-def test_lie_symmetry_defect_flags_violations(rng, grid):
-    n = grid.n_points
-    field = random_lie(rng, n=2, shape=(n, n))
-    spec = np.fft.fft2(field, axes=(0, 1), norm="ortho")
-    assert lie_symmetry_defect(spec, grid) < 1e-12
-    spec[1, 2] += 0.5
-    assert lie_symmetry_defect(spec, grid) > 0.1
 
 
 def test_dilate_identity_and_dyadic_checks(rng, grid):
