@@ -37,6 +37,12 @@ half-step one, four times.  Projection commutes with every stage, so the
 step agrees to rounding with a projected IF-RK4 on the matrix pairs;
 tests enforce this.
 
+Residuals are read off the engine's own rates.  On them the Lorenz
+constraint is an identity, and each of the three evolution rows reduces
+to the part of its bracket term that the two-thirds rule drops, so the
+recorded rows monitor resolution, not the stepper.  A sample takes them
+from the undealiased product spectra of its stage-one nonlinearity.
+
 Layout: public arrays keep the grid axes in front, (2, N, N, 2, 2) per
 component.  Internally the coefficient spectra have shape
 (2, 2, 3, N, N//2+1), for (u, v), the pair index and the coefficient,
@@ -50,13 +56,7 @@ import scipy.fft as _fft
 from scipy.integrate import cumulative_simpson
 
 from .errors import DivergedError
-from .gauge_fields import (
-    MonopoleConfig,
-    TimeDerivatives,
-    monopole_residual,
-    random_config,
-    sup_norm,
-)
+from .gauge_fields import MonopoleConfig, TimeDerivatives, random_config
 from .grid_spectral import (
     GridSpec,
     apply_projection,
@@ -64,6 +64,9 @@ from .grid_spectral import (
     fft_inverse,
 )
 from .lie import anti_hermitian_defect, bracket, su2_coefficients, su2_matrix
+
+# a step whose largest coefficient exceeds this raises DivergedError
+_DIVERGENCE_LIMIT = 1e6
 
 
 @dataclass
@@ -218,12 +221,17 @@ def _require(test, what, defect, tol):
         raise ValueError(f"{test} test failed: {what} is off by {defect:.3g} (tolerance {tol:.3g})")
 
 
+def _check_finite(y, t):
+    peak = float(np.max(np.abs(y)))
+    if not np.isfinite(peak) or peak > _DIVERGENCE_LIMIT:
+        raise DivergedError(f"solution blew up at t={t:.6g} (max coefficient {peak:.3g})")
+
+
 class HalfWaveSolver:
     """Integrating-factor RK4 for the projected characteristic system of su(2) pairs."""
 
-    def __init__(self, grid, divergence_limit=1e6):
+    def __init__(self, grid):
         self.grid = grid
-        self.divergence_limit = divergence_limit
         # half-spectrum tables
         nh = grid.n_points // 2 + 1
         self._kx_r = grid.kx[:, :nh]
@@ -338,25 +346,39 @@ class HalfWaveSolver:
                 out[w, i] += tmp
         return out
 
-    def _nonlinearity(self, y):
-        """Dealiased N(u, v) and N(v, u) of coefficient spectra; brackets are cross products."""
+    def _products(self, y):
+        """Spectra of the brackets (u0 x v0 + u1 x v1) / 2, u1 x u0 and v1 x v0.
+
+        Shape (3, 3, N, N//2+1), not dealiased.  The first row of N(v, u)
+        is minus that of N(u, v), so it is not transformed again.
+        """
         n = self.grid.n_points
         u, v = _fft.irfft2(y, s=(n, n), axes=(-2, -1), norm="ortho")
         prod, tmp = self._prod, self._tmp
-        # rows: (u0 x v0 + u1 x v1) / 2, u1 x u0, v1 x v0; the first row of
-        # N(v, u) is minus that of N(u, v), so it is not transformed again
         _cross(u[0], v[0], prod[0], tmp)
         _cross(u[1], v[1], prod[1], tmp)
         prod[0] += prod[1]
         prod[0] *= 0.5
         _cross(u[1], u[0], prod[1], tmp)
         _cross(v[1], v[0], prod[2], tmp)
-        n_hat = _fft.rfft2(prod, axes=(-2, -1), norm="ortho")
-        # two-thirds rule as in grid.dealias_mask: zero the slabs with
-        # |k_index| > N/3 along either axis
+        return _fft.rfft2(prod, axes=(-2, -1), norm="ortho")
+
+    def _dealias(self, n_hat):
+        """Two-thirds rule as in grid.dealias_mask, in place: zero the slabs
+        with |k_index| > N/3 along either axis."""
+        n = self.grid.n_points
         cut = n // 3
         n_hat[..., cut + 1 : n - cut, :] = 0.0
         n_hat[..., cut + 1 :] = 0.0
+        return n_hat
+
+    def _nonlinearity(self, y, n_hat=None):
+        """Dealiased N(u, v) and N(v, u) of coefficient spectra; brackets are cross products.
+
+        n_hat, the _products of y when they are already known, is
+        dealiased in place.
+        """
+        n_hat = self._dealias(self._products(y) if n_hat is None else n_hat)
         out = np.empty_like(y)
         out[0, 0] = n_hat[0]
         out[0, 1] = n_hat[1]
@@ -420,14 +442,20 @@ class HalfWaveSolver:
         # Frobenius norm from orthogonal generators with |e_a|^2 = 1/2
         return float(np.max(np.sqrt(0.5 * np.sum(res * res, axis=0))))
 
-    def _config_from(self, y, k1):
+    def _row_sups(self, n_hat):
+        """Sup norms of the three evolution-row residuals on the engine's rates.
+
+        On those rates the gradient terms cancel and each row is, up to
+        sign, what the two-thirds rule drops from its bracket term:
+        (u1 x u0 + v1 x v0) / 2 for phi, (u0 x v0 + u1 x v1) / 2 for a1 and
+        (u1 x u0 - v1 x v0) / 2 for a2.  n_hat are the undealiased _products.
+        """
+        drop = n_hat - self._dealias(n_hat.copy())
+        rows_hat = np.stack([0.5 * (drop[1] + drop[2]), drop[0], 0.5 * (drop[1] - drop[2])])
         n = self.grid.n_points
-        both = np.stack([y, self._rates(y, k1)])
-        phys = _fft.irfft2(both, s=(n, n), axes=(-2, -1), norm="ortho")
-        mats = su2_matrix(np.moveaxis(phys, -3, -1))
-        cfg = from_uv(self.grid, mats[0, 0], mats[0, 1])
-        dts = uv_rates_to_derivatives(mats[1, 0], mats[1, 1])
-        return cfg, dts
+        rows = _fft.irfft2(rows_hat, s=(n, n), axes=(-2, -1), norm="ortho")
+        # Frobenius norm from orthogonal generators with |e_a|^2 = 1/2
+        return np.max(np.sqrt(0.5 * np.sum(rows * rows, axis=1)), axis=(-2, -1))
 
     # public operations --------------------------------------------------------
 
@@ -446,35 +474,13 @@ class HalfWaveSolver:
         rates = pair_rhs(self.grid, u, v)
         return from_uv(self.grid, u, v), uv_rates_to_derivatives(*rates)
 
-    def step(self, state, h=None):
-        """One integrating-factor RK4 step of size h (default grid.dt)."""
-        return self.evolve(state, 1, h)
-
-    def free_flow(self, state, t):
-        """Exact linear propagation: each component picks up its phase."""
-        e = np.stack([self._square_phase(t), self._square_phase(-t)])
-        return self._to_state(self._propagate(e, self._to_coeffs(state)))
-
-    def _check_finite(self, peak, t):
-        if not np.isfinite(peak) or peak > self.divergence_limit:
-            raise DivergedError(
-                f"solution blew up at t={t:.6g} (max coefficient {peak:.3g})"
-            )
-
-    def evolve(self, state, n_steps, h=None, observer=None):
-        """Advance n_steps.  observer(i, t, state, rates) is called before
-        each step and once more at the final time; the rates reuse the
-        stage-one nonlinearity, so observation stays cheap."""
+    def evolve(self, state, n_steps, h=None):
+        """Advance n_steps integrating-factor RK4 steps of size h (default grid.dt)."""
         h = self.grid.dt if h is None else h
         y = self._to_coeffs(state)
-        for i in range(n_steps + 1):
-            k1 = None
-            if observer is not None:
-                k1 = self._nonlinearity(y)
-                observer(i, i * h, self._to_state(y), self._to_state(self._rates(y, k1)))
-            if i < n_steps:
-                y = self._step(y, h, k1)
-                self._check_finite(float(np.max(np.abs(y))), (i + 1) * h)
+        for i in range(n_steps):
+            y = self._step(y, h)
+            _check_finite(y, (i + 1) * h)
         return self._to_state(y)
 
     def evolve_with_residuals(self, state, n_steps, h=None, sample_every=1, rows=False):
@@ -482,7 +488,9 @@ class HalfWaveSolver:
 
         Returns (final_state, ResidualRecord).  The gauge constraint
         residual is recorded at every sampled instant; with rows=True the
-        three evolution-row residuals are recorded as well.
+        three evolution-row residuals, which on these rates are the parts
+        of the brackets that dealiasing drops, are recorded as well.  Each
+        sample's stage-one nonlinearity is reused by the step that follows.
         """
         h = self.grid.dt if h is None else h
         y = self._to_coeffs(state)
@@ -490,15 +498,15 @@ class HalfWaveSolver:
         for i in range(n_steps + 1):
             k1 = None
             if i % sample_every == 0 or i == n_steps:
-                k1 = self._nonlinearity(y)
+                n_hat = self._products(y)
+                if rows:
+                    row_vals.append(self._row_sups(n_hat))
+                k1 = self._nonlinearity(y, n_hat)
                 times.append(i * h)
                 lorenz_vals.append(self._lorenz_sup(y, k1))
-                if rows:
-                    cfg, dts = self._config_from(y, k1)
-                    row_vals.append([sup_norm(r) for r in monopole_residual(cfg, dts)])
             if i < n_steps:
                 y = self._step(y, h, k1)
-                self._check_finite(float(np.max(np.abs(y))), (i + 1) * h)
+                _check_finite(y, (i + 1) * h)
         record = ResidualRecord(
             times=np.array(times),
             lorenz=np.array(lorenz_vals),

@@ -25,7 +25,6 @@ from .grid_spectral import (
     GridSpec,
     _check_field,
     band_mask,
-    dilate,
     fft_forward,
     fft_inverse,
     random_band_limited,
@@ -53,10 +52,6 @@ class MonopoleConfig:
         shapes = {getattr(self, k).shape for k in ("a0", "a1", "a2", "phi")}
         if len(shapes) != 1:
             raise ValueError(f"field shapes disagree: {shapes}")
-
-    @property
-    def matrix_dim(self):
-        return self.a0.shape[-1]
 
     def fields(self):
         return (self.a0, self.a1, self.a2, self.phi)
@@ -171,19 +166,6 @@ def gauge_transform(o, do, cfg, dts):
         dt_phi=conjugate(o, dts.dt_phi),
     )
     return new_cfg, new_dts
-
-
-def rescale(cfg, lam):
-    """Dyadic scaling symmetry at fixed time: lam * f(lam x) for every field.
-
-    Realized exactly by dilating the domain (see grid_spectral.dilate); the
-    returned configuration lives on a grid of period L/lam.
-    """
-    a0, new_grid = dilate(cfg.a0, cfg.grid, lam)
-    a1, _ = dilate(cfg.a1, cfg.grid, lam)
-    a2, _ = dilate(cfg.a2, cfg.grid, lam)
-    phi, _ = dilate(cfg.phi, cfg.grid, lam)
-    return MonopoleConfig(grid=new_grid, a0=a0, a1=a1, a2=a2, phi=phi)
 
 
 def random_config(rng, grid, n=2, amplitude=0.25, kmax=None):

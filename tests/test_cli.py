@@ -133,9 +133,17 @@ def _assert_usage_error_in_child(tmp_path, args, message):
         (["residuals", "sample_every=0"], "sample_every must be at least 1"),
         (["verify-norms", "n_t=0"], "n_t must be at least 1"),
         (["verify-null", "null_samples=0"], "null_samples must be at least 1"),
+        # below kmax = 1 only the mean mode is kept and the random fields are constant
+        (["scaling", "kmax=-1"], "kmax must be at least 1"),
+        (["verify-norms", "kmax=-1", "norm_tuples=1"], "kmax must be at least 1"),
+        (["verify-norms", "t_window=0"], "t_window must be positive"),
+        (["verify-norms", "t_window=-2"], "t_window must be positive"),
+        (["probe-bilinear", "t_window=0"], "t_window must be positive"),
     ],
     ids=["simulate-sample_every", "simulate-steps", "residuals-sample_every",
-         "verify-norms-n_t", "verify-null-null_samples"],
+         "verify-norms-n_t", "verify-null-null_samples", "scaling-kmax",
+         "verify-norms-kmax", "verify-norms-t_window-zero",
+         "verify-norms-t_window-negative", "probe-bilinear-t_window"],
 )
 def test_values_below_their_bound_exit_2(tmp_path, args, message):
     _assert_usage_error_in_child(tmp_path, [*args, "n=16"], message)

@@ -6,6 +6,7 @@ import scipy.fft
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
+from monopole_lab import diagonal_system
 from monopole_lab.diagonal_system import (
     DiagonalState,
     HalfWaveSolver,
@@ -42,6 +43,14 @@ from reference_stepper import reference_evolve
 def _fields_and_rates(state, rates):
     """Configuration and per-field time derivatives of a state and its rates."""
     return from_uv(state.grid, state.u(), state.v()), uv_rates_to_derivatives(rates.u(), rates.v())
+
+
+def _flow(solver, state, n_steps):
+    """(state, engine rates) at each of n_steps + 1 instants one step apart."""
+    for i in range(n_steps + 1):
+        if i:
+            state = solver.evolve(state, 1)
+        yield state, solver.rhs(state)
 
 
 def test_to_uv_round_trip(rng, grid):
@@ -81,34 +90,21 @@ def test_rhs_projected_and_direct_agree(rng, grid):
     assert np.max(np.abs(rates.v() - dv)) < 1e-12 * scale
 
 
-def test_free_flow_phases_single_mode(grid):
-    # cos(x) e3 in the first slot of a pair: on the 2 pi torus the mode
-    # xi = (1, 0) is a plus wave of that pair and xi = (-1, 0) a minus wave
-    n = grid.n_points
-    x = grid.length * np.arange(n) / n
-    pair = np.zeros((2, n, n, 2, 2), dtype=complex)
-    pair[0] = np.cos(x)[:, None, None, None] * SU2_GENERATORS[2]
-    state = diagonal_split(grid, pair, pair)
-    out = HalfWaveSolver(grid).free_flow(state, 0.3)
-    # u_plus and v_minus turn by e^{+0.3i}, u_minus and v_plus by e^{-0.3i};
-    # each component stays on its own mode, so nothing leaks into the others
-    for before, after, sign in zip(state.components(), out.components(), (1, -1, -1, 1)):
-        before_hat = fft_forward(before, grid)
-        assert np.max(np.abs(before_hat)) > 1.0
-        assert_allclose(fft_forward(after, grid), np.exp(0.3j * sign) * before_hat, atol=1e-13)
-
-
-def test_step_equals_free_flow_without_nonlinearity(rng, grid):
-    # all fields along one generator: every bracket vanishes identically
+def test_evolve_turns_bracket_free_data_by_its_phases(rng, grid):
+    # all fields along one generator: every bracket vanishes identically,
+    # so the steps are the exact linear flow
     e3 = SU2_GENERATORS[2]
     coeffs = random_band_limited(rng, grid, kmax=3, shape=(4,))
     a0, a1, a2, phi = (c[..., None, None] * e3 for c in coeffs)
-    cfg = MonopoleConfig(grid=grid, a0=a0, a1=a1, a2=a2, phi=phi)
-    state = state_from_config(cfg)
-    solver = HalfWaveSolver(grid)
-    evolved = solver.evolve(state, 25, h=1e-2)
-    free = solver.free_flow(state, 0.25)
-    assert state_distance(evolved, free) < 1e-12
+    state = state_from_config(MonopoleConfig(grid=grid, a0=a0, a1=a1, a2=a2, phi=phi))
+    out = HalfWaveSolver(grid).evolve(state, 25, h=1e-2)
+    # mode by mode, u_plus and v_minus turn by e^{+0.25i|xi|}, u_minus and
+    # v_plus by e^{-0.25i|xi|}; nothing leaks into other modes or components
+    turn = np.exp(0.25j * grid.kabs)[..., None, None]
+    for before, after, sign in zip(state.components(), out.components(), (1, -1, -1, 1)):
+        before_hat = fft_forward(before, grid)
+        assert np.max(np.abs(before_hat)) > 0.1
+        assert_allclose(fft_forward(after, grid), turn**sign * before_hat, rtol=0, atol=1e-13)
 
 
 def test_solver_matches_reference_ode(rng):
@@ -179,14 +175,10 @@ def test_su_structure_preserved_along_flow(rng, grid):
 def test_lorenz_residual_vanishes_along_flow(rng, grid):
     state = random_diagonal_state(rng, grid, amplitude=0.4)
     solver = HalfWaveSolver(grid)
-    worst = 0.0
-
-    def watch(_i, _t, s, rates):
-        nonlocal worst
-        cfg, dts = _fields_and_rates(s, rates)
-        worst = max(worst, sup_norm(lorenz_residual(cfg, dts)))
-
-    solver.evolve(state, 10, observer=watch)
+    worst = max(
+        sup_norm(lorenz_residual(*_fields_and_rates(s, rates)))
+        for s, rates in _flow(solver, state, 10)
+    )
     assert worst < 1e-12
 
 
@@ -214,15 +206,10 @@ def test_monopole_residual_in_band_vanishes_along_flow(rng, grid):
     state = random_diagonal_state(rng, grid, amplitude=0.4)
     solver = HalfWaveSolver(grid)
     worst = 0.0
-
-    def watch(_i, _t, s, rates):
-        nonlocal worst
-        cfg, dts = _fields_and_rates(s, rates)
-        rows = np.stack(monopole_residual(cfg, dts))
+    for s, rates in _flow(solver, state, 10):
+        rows = np.stack(monopole_residual(*_fields_and_rates(s, rates)))
         in_band = dealias(fft_forward(rows, grid), grid)
         worst = max(worst, float(np.max(np.abs(in_band))))
-
-    solver.evolve(state, 10, observer=watch)
     assert worst < 1e-11
 
 
@@ -243,10 +230,11 @@ def test_rhs_matches_finite_difference_in_time(rng):
 
 
 def test_evolve_raises_on_divergence(rng, grid):
-    state = random_diagonal_state(rng, grid, amplitude=0.5)
-    solver = HalfWaveSolver(grid, divergence_limit=1e-12)
+    # one step of this data reaches a coefficient near 1e22, far past the
+    # solver's limit of 1e6
+    state = random_diagonal_state(rng, grid, amplitude=1e4)
     with pytest.raises(DivergedError):
-        solver.evolve(state, 1)
+        HalfWaveSolver(grid).evolve(state, 1)
 
 
 def test_picard_iterates_converge_to_evolution(rng):
@@ -326,7 +314,6 @@ def test_fast_engine_rejects_inconsistent_states(rng):
         lambda s: solver.evolve(s, 3),
         lambda s: solver.evolve_with_residuals(s, 3),
         solver.rhs,
-        lambda s: solver.free_flow(s, 0.3),
     )
     for bad, test in refused:
         for entry in entries:
@@ -358,37 +345,51 @@ def test_fft_workers_from_scipy_do_not_change_the_evolution(rng, grid32):
     assert state_distance(threaded, default) == 0.0
 
 
-def test_step_is_one_evolve_step(rng, grid):
-    state = random_diagonal_state(rng, grid, amplitude=0.4)
-    solver = HalfWaveSolver(grid)
-    assert state_distance(solver.step(state), solver.evolve(state, 1)) == 0.0
-    assert state_distance(solver.step(state, 2e-3), solver.evolve(state, 1, h=2e-3)) == 0.0
+def _record_and_operator_rows(state, n_steps):
+    """evolve_with_residuals' record and final state, the final state of
+    single evolve steps, and the Lorenz and row sups of the residual
+    operators on those steps' rhs rates."""
+    solver = HalfWaveSolver(state.grid)
+    final, record = solver.evolve_with_residuals(state, n_steps, rows=True)
+    lorenz_ref, rows_ref = [], []
+    for s, rates in _flow(solver, state, n_steps):
+        cfg, dts = _fields_and_rates(s, rates)
+        lorenz_ref.append(sup_norm(lorenz_residual(cfg, dts)))
+        rows_ref.append([sup_norm(r) for r in monopole_residual(cfg, dts)])
+    return record, final, s, np.array(lorenz_ref), np.array(rows_ref)
 
 
 def test_residual_record_matches_operator_evaluation(rng):
     grid = GridSpec(16, 2 * np.pi, 1e-3)
     state = random_diagonal_state(rng, grid, amplitude=0.4)
-    solver = HalfWaveSolver(grid)
-    final, record = solver.evolve_with_residuals(state, 8, rows=True)
-
-    lorenz_ref, rows_ref = [], []
-
-    def watch(i, t, s, rates):
-        cfg, dts = _fields_and_rates(s, rates)
-        lorenz_ref.append(sup_norm(lorenz_residual(cfg, dts)))
-        rows_ref.append([sup_norm(r) for r in monopole_residual(cfg, dts)])
-
-    observed = solver.evolve(state, 8, observer=watch)
-
-    assert state_distance(final, observed) < 1e-13
+    record, final, stepped, lorenz_ref, rows_ref = _record_and_operator_rows(state, 8)
+    assert state_distance(final, stepped) < 1e-13
     assert record.times.shape == (9,)
     assert record.rows.shape == (9, 3)
     # the gauge constraint cancels identically in both accountings
     assert np.max(record.lorenz) < 1e-12
-    assert max(lorenz_ref) < 1e-12
-    # row residuals are honest O(h * amplitude^2) numbers; the record's
-    # coefficient-space evaluation agrees with the operators on the states
-    assert_allclose(record.rows, np.array(rows_ref), rtol=1e-6, atol=1e-13)
+    assert np.max(lorenz_ref) < 1e-12
+    # the rows are what dealiasing drops, well above rounding here; the
+    # record reads them off the product spectra and agrees with the operators
+    assert np.max(rows_ref) > 1e-6
+    assert_allclose(record.rows, rows_ref, rtol=1e-6, atol=1e-13)
+
+
+def test_residual_record_departs_from_the_operators_with_a_wrong_bracket(rng, monkeypatch):
+    # the record's rows equal the operators' only while the engine's
+    # brackets are right: flip one component of the cross product and the
+    # rhs rates no longer solve the rows, while the dealias drop stays small
+    grid = GridSpec(16, 2 * np.pi, 1e-3)
+    state = random_diagonal_state(rng, grid, amplitude=0.4)
+    cross = diagonal_system._cross
+
+    def flipped(a, b, out, tmp):
+        cross(a, b, out, tmp)
+        out[2] *= -1.0
+
+    monkeypatch.setattr(diagonal_system, "_cross", flipped)
+    record, _, _, _, rows_ref = _record_and_operator_rows(state, 8)
+    assert np.max(np.abs(record.rows - rows_ref)) > 1e-3 * np.max(rows_ref)
 
 
 def test_residual_record_sampling_matches_every_step(rng):

@@ -15,7 +15,6 @@ from monopole_lab.gauge_fields import (
     random_config,
     random_derivatives,
     random_gauge_map,
-    rescale,
     spatial_gradient,
     sup_norm,
 )
@@ -37,7 +36,6 @@ def test_config_validation(grid):
     with pytest.raises(ValueError):
         MonopoleConfig(grid=grid, a0=np.zeros((n, n + 1, 2, 2)), a1=good, a2=good, phi=good)
     cfg = MonopoleConfig(grid=grid, a0=good, a1=good, a2=good, phi=good)
-    assert cfg.matrix_dim == 2
     assert cfg.a0.dtype == np.complex128
 
 
@@ -185,16 +183,3 @@ def test_random_gauge_map_is_unitary_with_consistent_derivative(rng):
     # d(O O^H) = 0 forces (d1 O) O^H to be anti-Hermitian
     w = d1o @ dagger(o)
     assert np.max(np.abs(w + dagger(w))) < 1e-10
-
-
-def test_rescale_identity_and_single_mode(rng, grid):
-    cfg = random_config(rng, grid)
-    same = rescale(cfg, 1.0)
-    assert same.grid == grid
-    assert_allclose(same.phi, cfg.phi, atol=0)
-    scaled = rescale(cfg, 2.0)
-    assert scaled.grid.length == pytest.approx(grid.length / 2)
-    assert scaled.grid.dt == pytest.approx(grid.dt / 2)
-    assert_allclose(scaled.a1, 2.0 * cfg.a1, atol=0)
-    with pytest.raises(ValueError):
-        rescale(cfg, 1.5)

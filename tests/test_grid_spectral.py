@@ -192,6 +192,7 @@ def test_dilate_identity_and_dyadic_checks(rng, grid):
     assert_allclose(out, f, atol=0)
     out, g2 = dilate(f, grid, 2.0)
     assert g2.length == grid.length / 2
+    assert g2.dt == pytest.approx(grid.dt / 2)
     assert_allclose(out, 2.0 * f, atol=0)
     with pytest.raises(ValueError):
         dilate(f, grid, 3.0)
