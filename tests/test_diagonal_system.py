@@ -90,7 +90,25 @@ def test_rhs_projected_and_direct_agree(rng, grid):
     assert np.max(np.abs(rates.v() - dv)) < 1e-12 * scale
 
 
-def test_evolve_turns_bracket_free_data_by_its_phases(rng, grid):
+def test_free_flow_phases_single_mode(grid):
+    # cos(x) e3 in the first slot of a pair: on the 2 pi torus the mode
+    # xi = (1, 0) is a plus wave of that pair and xi = (-1, 0) a minus wave;
+    # one generator means every bracket vanishes, so evolve is the free flow
+    n = grid.n_points
+    x = grid.length * np.arange(n) / n
+    pair = np.zeros((2, n, n, 2, 2), dtype=complex)
+    pair[0] = np.cos(x)[:, None, None, None] * SU2_GENERATORS[2]
+    state = diagonal_split(grid, pair, pair)
+    out = HalfWaveSolver(grid).evolve(state, 30, h=1e-2)
+    # u_plus and v_minus turn by e^{+0.3i}, u_minus and v_plus by e^{-0.3i};
+    # each component stays on its own mode, so nothing leaks into the others
+    for before, after, sign in zip(state.components(), out.components(), (1, -1, -1, 1)):
+        before_hat = fft_forward(before, grid)
+        assert np.max(np.abs(before_hat)) > 1.0
+        assert_allclose(fft_forward(after, grid), np.exp(0.3j * sign) * before_hat, atol=1e-13)
+
+
+def test_step_equals_free_flow_without_nonlinearity(rng, grid):
     # all fields along one generator: every bracket vanishes identically,
     # so the steps are the exact linear flow
     e3 = SU2_GENERATORS[2]
