@@ -127,8 +127,8 @@ def _coerce(key, raw):
             raise UsageError(f"invalid value for {key}: {raw!r}") from None
     if minimum is not None and value < minimum:
         raise UsageError(f"{key} must be at least {minimum}, got {value!r}")
-    if key == "t_window" and not value > 0.0:
-        raise UsageError(f"t_window must be positive, got {value!r}")
+    if key in ("lorenz_tol", "rtol", "t_window") and not value > 0.0:
+        raise UsageError(f"{key} must be positive, got {value!r}")
     return value
 
 

@@ -16,20 +16,21 @@ the projected, dealiased nonlinearity is integrated.  A Duhamel
 fixed-point iteration on the same time grid is provided as an
 independent cross-check of the time stepper.
 
-One engine implements the step.  It evolves the unsplit su(2) pairs in
-the SU2_GENERATORS coefficient basis: physical fields are real 3-vectors
-c, commutators are cross products, and the transforms are half-spectrum.
-Entry and exit stay in that basis.  Let R be the operator with the real
-symbol -i alpha . xi / |xi| (zero at xi = 0), acting on the pair index;
-R c is a real field and the half waves are
+One engine implements the step, for su(n) pairs of any rank n read off
+the state.  It evolves the unsplit pairs in the coefficients of the
+orthonormal su_basis(n): physical fields are real d-vectors c,
+d = n^2 - 1, the bracket is [x, y]_c = f_abc x_a y_b with the structure
+constants f of that basis, and the transforms are half-spectrum.  Entry
+and exit stay in that basis.  Let R be the operator with the real symbol
+-i alpha . xi / |xi| (zero at xi = 0), acting on the pair index; R c is
+a real field and the half waves are
     P_pm c = (c pm i R c) / 2.
-The entry reads the coefficients of each pair off the state.  It accepts
-only su(2) pairs that are anti-Hermitian and traceless, have empty
-Nyquist lines, and whose plus components equal su2_matrix((c + i R c) / 2);
-every stepping operation enters there and raises ValueError, naming the
-failed test, for any other state.  config_with_derivatives alone takes its
-rates from the pair_rhs oracle and accepts pairs of any rank.  The exit builds u_pm and v_pm as
-su2_matrix((c pm i R c) / 2).  The exact linear propagator is the
+The entry accepts only pairs that equal the basis sum of their
+coefficients (anti-Hermitian and traceless), have empty Nyquist lines,
+and whose plus components are the basis sum of (c + i R c) / 2; every
+stepping operation enters there and raises ValueError, naming the failed
+test, for any other state.  The exit builds u_pm and v_pm as the basis
+sums of (c pm i R c) / 2.  The exact linear propagator is the
 per-mode 2 x 2 matrix
     exp(pm i h alpha . xi) = cos(h|xi|) pm i sin(h|xi|) alpha . xihat
 acting on the pair index; since E(h) = E(h/2)^2 a step applies only the
@@ -43,9 +44,9 @@ to the part of its bracket term that the two-thirds rule drops, so the
 recorded rows monitor resolution, not the stepper.  A sample takes them
 from the undealiased product spectra of its stage-one nonlinearity.
 
-Layout: public arrays keep the grid axes in front, (2, N, N, 2, 2) per
+Layout: public arrays keep the grid axes in front, (2, N, N, n, n) per
 component.  Internally the coefficient spectra have shape
-(2, 2, 3, N, N//2+1), for (u, v), the pair index and the coefficient,
+(2, 2, d, N, N//2+1), for (u, v), the pair index and the coefficient,
 so the transforms act on contiguous memory.
 """
 
@@ -63,7 +64,7 @@ from .grid_spectral import (
     fft_forward,
     fft_inverse,
 )
-from .lie import anti_hermitian_defect, bracket, su2_coefficients, su2_matrix
+from .lie import bracket, coefficients, from_coefficients, structure_constants, su_basis
 
 # a step whose largest coefficient exceeds this raises DivergedError
 _DIVERGENCE_LIMIT = 1e6
@@ -91,6 +92,9 @@ class DiagonalState:
             if f.ndim != 5 or f.shape[:3] != (2, n, n) or f.shape[-1] != f.shape[-2]:
                 raise ValueError(f"{name} must have shape (2, N, N, n, n), got {f.shape}")
             setattr(self, name, f)
+        shapes = {c.shape for c in self.components()}
+        if len(shapes) != 1:
+            raise ValueError(f"component shapes disagree: {shapes}")
 
     def components(self):
         return (self.u_plus, self.u_minus, self.v_plus, self.v_minus)
@@ -207,12 +211,16 @@ def random_diagonal_state(rng, grid, n=2, amplitude=0.25, kmax=None):
     return state_from_config(cfg)
 
 
-def _cross(a, b, out, tmp):
-    """out = a x b over the leading length-3 axis; tmp is one scratch field."""
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(a[j], b[k], out=out[i])
-        np.multiply(a[k], b[j], out=tmp)
-        out[i] -= tmp
+def _bracket(table, x, y, out, tmp):
+    """out = [x, y] over the leading coefficient axis: each entry (a, b, c, f)
+    of the table adds f (x_a y_b - x_b y_a) to out_c; tmp is two scratch fields."""
+    out.fill(0.0)
+    for a, b, c, f in table:
+        np.multiply(x[a], y[b], out=tmp[0])
+        np.multiply(x[b], y[a], out=tmp[1])
+        tmp[0] -= tmp[1]
+        tmp[0] *= f
+        out[c] += tmp[0]
 
 
 def _require(test, what, defect, tol):
@@ -228,7 +236,7 @@ def _check_finite(y, t):
 
 
 class HalfWaveSolver:
-    """Integrating-factor RK4 for the projected characteristic system of su(2) pairs."""
+    """Integrating-factor RK4 for the projected characteristic system of su(n) pairs."""
 
     def __init__(self, grid):
         self.grid = grid
@@ -243,49 +251,58 @@ class HalfWaveSolver:
             np.where(self._mag_r == 0.0, 0.0, self._ky_r / safe),
         )
         self._propagators = {}
-        # scratch reused by every step: the nine product fields of the
-        # nonlinearity and one field each for partial results
-        n = grid.n_points
-        self._prod = np.empty((3, 3, n, n))
-        self._tmp = np.empty((n, n))
-        self._spec_tmp = np.empty((3, n, nh), dtype=np.complex128)
+        self._rank = None
+
+    def _set_rank(self, n):
+        """su_basis(n), its nonzero f_abc with a < b and the step's scratch, once per rank."""
+        if n == self._rank:
+            return
+        self._rank, self._basis = n, su_basis(n)
+        f = structure_constants(self._basis)
+        self._table = [(a, b, c, f[a, b, c]) for a, b, c in np.argwhere(np.abs(f) > 1e-12) if a < b]
+        size, d = self.grid.n_points, len(self._basis)
+        # the 3d product fields of the nonlinearity, and partial results
+        self._prod = np.empty((3, d, size, size))
+        self._tmp = np.empty((2, size, size))
+        self._spec_tmp = np.empty((d, *self._mag_r.shape), dtype=np.complex128)
 
     # entry and exit ------------------------------------------------------------
 
     def _to_coeffs(self, state):
-        """Coefficient spectra of (u, v), shape (2, 2, 3, N, N//2+1).
+        """Coefficient spectra of (u, v), shape (2, 2, d, N, N//2+1).
 
-        The state must be an su(2) pair of real coefficient fields
-        (anti-Hermitian and traceless), with empty Nyquist lines, whose sign
-        convention is not shared by the half-spectrum transforms, and with
-        plus components that are the actual projections (c + i R c) / 2 of
-        their pairs.  All are tested at 1e-12 of the state's largest entry,
-        one pair at a time; a ValueError names the test that failed.
+        The state must hold su(n) pairs that are the sums of their su_basis
+        coefficients (no Hermitian or trace part), with empty Nyquist lines,
+        whose sign convention is not shared by the half-spectrum transforms,
+        and with plus components that are the actual projections
+        (c + i R c) / 2 of their pairs.  All are tested at 1e-12 of the
+        state's largest entry, one pair at a time; a ValueError names the
+        test that failed.
         """
-        size = state.u_plus.shape[-1]
-        if size != 2:
-            raise ValueError(f"su(2) rank test failed: the pairs hold {size} x {size} matrices")
+        self._set_rank(state.u_plus.shape[-1])
+        basis = self._basis
         tol = 1e-12 * max(state_max_abs(state), 1e-30)
         nyq = self.grid.n_points // 2
-        y = np.empty((2, 2, 3, *self._mag_r.shape), dtype=np.complex128)
+        y = np.empty((2, 2, len(basis), *self._mag_r.shape), dtype=np.complex128)
         for w, (name, plus, minus) in enumerate(
             (("u", state.u_plus, state.u_minus), ("v", state.v_plus, state.v_minus))
         ):
             pair = plus + minus
-            _require("anti-Hermitian and traceless", f"the {name} pair", anti_hermitian_defect(pair), tol)
-            c = np.moveaxis(su2_coefficients(pair).real, -1, 1)
+            c = coefficients(pair, basis)
+            defect = float(np.max(np.abs(pair - from_coefficients(c, basis))))
+            _require("anti-Hermitian and traceless", f"the {name} pair", defect, tol)
+            c = np.moveaxis(c, -1, 1)
             y[w] = _fft.rfft2(c, axes=(-2, -1), norm="ortho")
             nyquist = np.concatenate([y[w, ..., nyq, :], y[w, ..., nyq]], axis=-1)
-            peak = float(np.max(np.abs(su2_matrix(np.moveaxis(nyquist, 1, -1)))))
-            _require("Nyquist", f"the Nyquist lines of the {name} pair", peak, tol)
+            _require("Nyquist", f"the Nyquist lines of the {name} pair", float(np.max(np.abs(nyquist))), tol)
             gap = float(np.max(np.abs(self._plus_part(c, y[w]) - plus)))
             _require("plus projection", f"{name}_plus against the plus projection of its pair", gap, tol)
         return y
 
     def _plus_part(self, c, pair_hat):
-        """su2_matrix((c + i R c) / 2) with grid axes in front: the plus projection.
+        """The basis sum of (c + i R c) / 2 with grid axes in front: the plus projection.
 
-        c holds the physical coefficients (2, 3, N, N) of one pair and
+        c holds the physical coefficients (2, d, N, N) of one pair and
         pair_hat their half spectrum.  R has the real symbol
         -i alpha . xi / |xi|, so R c is a real field too.
         """
@@ -298,7 +315,7 @@ class HalfWaveSolver:
         r_hat *= -1j
         n = self.grid.n_points
         rc = _fft.irfft2(r_hat, s=(n, n), axes=(-2, -1), norm="ortho")
-        return su2_matrix(np.moveaxis(0.5 * (c + 1j * rc), 1, -1))
+        return from_coefficients(np.moveaxis(0.5 * (c + 1j * rc), 1, -1), self._basis)
 
     def _to_state(self, y):
         """Split each pair into its half waves: P+- c = (c +- i R c) / 2."""
@@ -307,7 +324,7 @@ class HalfWaveSolver:
         for pair_hat in y:
             c = _fft.irfft2(pair_hat, s=(n, n), axes=(-2, -1), norm="ortho")
             plus = self._plus_part(c, pair_hat)
-            minus = su2_matrix(np.moveaxis(c, 1, -1))
+            minus = from_coefficients(np.moveaxis(c, 1, -1), self._basis)
             minus -= plus
             comps += [plus, minus]
         return DiagonalState(self.grid, *comps)
@@ -347,20 +364,20 @@ class HalfWaveSolver:
         return out
 
     def _products(self, y):
-        """Spectra of the brackets (u0 x v0 + u1 x v1) / 2, u1 x u0 and v1 x v0.
+        """Spectra of the brackets ([u0, v0] + [u1, v1]) / 2, [u1, u0] and [v1, v0].
 
-        Shape (3, 3, N, N//2+1), not dealiased.  The first row of N(v, u)
+        Shape (3, d, N, N//2+1), not dealiased.  The first row of N(v, u)
         is minus that of N(u, v), so it is not transformed again.
         """
         n = self.grid.n_points
         u, v = _fft.irfft2(y, s=(n, n), axes=(-2, -1), norm="ortho")
-        prod, tmp = self._prod, self._tmp
-        _cross(u[0], v[0], prod[0], tmp)
-        _cross(u[1], v[1], prod[1], tmp)
+        prod, tmp, table = self._prod, self._tmp, self._table
+        _bracket(table, u[0], v[0], prod[0], tmp)
+        _bracket(table, u[1], v[1], prod[1], tmp)
         prod[0] += prod[1]
         prod[0] *= 0.5
-        _cross(u[1], u[0], prod[1], tmp)
-        _cross(v[1], v[0], prod[2], tmp)
+        _bracket(table, u[1], u[0], prod[1], tmp)
+        _bracket(table, v[1], v[0], prod[2], tmp)
         return _fft.rfft2(prod, axes=(-2, -1), norm="ortho")
 
     def _dealias(self, n_hat):
@@ -373,7 +390,7 @@ class HalfWaveSolver:
         return n_hat
 
     def _nonlinearity(self, y, n_hat=None):
-        """Dealiased N(u, v) and N(v, u) of coefficient spectra; brackets are cross products.
+        """Dealiased N(u, v) and N(v, u) of coefficient spectra.
 
         n_hat, the _products of y when they are already known, is
         dealiased in place.
@@ -439,23 +456,23 @@ class HalfWaveSolver:
         )
         n = self.grid.n_points
         res = _fft.irfft2(res_hat, s=(n, n), axes=(-2, -1), norm="ortho")
-        # Frobenius norm from orthogonal generators with |e_a|^2 = 1/2
-        return float(np.max(np.sqrt(0.5 * np.sum(res * res, axis=0))))
+        # Frobenius norm: the basis is orthonormal
+        return float(np.max(np.sqrt(np.sum(res * res, axis=0))))
 
     def _row_sups(self, n_hat):
         """Sup norms of the three evolution-row residuals on the engine's rates.
 
         On those rates the gradient terms cancel and each row is, up to
         sign, what the two-thirds rule drops from its bracket term:
-        (u1 x u0 + v1 x v0) / 2 for phi, (u0 x v0 + u1 x v1) / 2 for a1 and
-        (u1 x u0 - v1 x v0) / 2 for a2.  n_hat are the undealiased _products.
+        ([u1, u0] + [v1, v0]) / 2 for phi, ([u0, v0] + [u1, v1]) / 2 for a1 and
+        ([u1, u0] - [v1, v0]) / 2 for a2.  n_hat are the undealiased _products.
         """
         drop = n_hat - self._dealias(n_hat.copy())
         rows_hat = np.stack([0.5 * (drop[1] + drop[2]), drop[0], 0.5 * (drop[1] - drop[2])])
         n = self.grid.n_points
         rows = _fft.irfft2(rows_hat, s=(n, n), axes=(-2, -1), norm="ortho")
-        # Frobenius norm from orthogonal generators with |e_a|^2 = 1/2
-        return np.max(np.sqrt(0.5 * np.sum(rows * rows, axis=1)), axis=(-2, -1))
+        # Frobenius norm: the basis is orthonormal
+        return np.max(np.sqrt(np.sum(rows * rows, axis=1)), axis=(-2, -1))
 
     # public operations --------------------------------------------------------
 
@@ -468,7 +485,7 @@ class HalfWaveSolver:
         """Bridge to the residual operators: fields plus evolution rates.
 
         The rates come from the pair_rhs oracle, not from the engine, so a
-        residual evaluated here checks the engine independently; any rank.
+        residual evaluated here checks the engine independently.
         """
         u, v = state.u(), state.v()
         rates = pair_rhs(self.grid, u, v)

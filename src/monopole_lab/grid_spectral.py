@@ -156,12 +156,6 @@ def apply_projection(sign, pair, grid):
     return out
 
 
-def dealias(field, grid):
-    """Zero all Fourier modes outside the two-thirds band."""
-    field = _check_field(field, grid)
-    return field * grid.dealias_mask[..., None, None]
-
-
 def band_mask(grid, kmax):
     """Boolean (N, N) mask keeping |k_index| <= kmax along both axes."""
     keep = np.abs(grid.mode_index) <= kmax

@@ -4,21 +4,12 @@ A Lie algebra element is an anti-Hermitian traceless complex n x n matrix;
 a group element is a special unitary n x n matrix.  Every function here
 broadcasts over leading axes, so a field sampled on a grid is simply an
 array of shape (..., n, n) and no per-point loops are needed.
+
+su_basis(n) is the one basis of su(n) here, orthonormal for tr(X^H Y);
+coefficients, from_coefficients and structure_constants work in it.
 """
 
 import numpy as np
-
-_SIGMA = np.array(
-    [
-        [[0.0, 1.0], [1.0, 0.0]],
-        [[0.0, -1.0j], [1.0j, 0.0]],
-        [[1.0, 0.0], [0.0, -1.0]],
-    ],
-    dtype=np.complex128,
-)
-
-# e_k = -(i/2) sigma_k, so [e_1, e_2] = e_3 and cyclic.
-SU2_GENERATORS = -0.5j * _SIGMA
 
 
 def dagger(a):
@@ -51,53 +42,22 @@ def conjugate(o, x):
     return o @ x @ dagger(o)
 
 
-def su2_coefficients(x):
-    """Coefficients of a traceless 2 x 2 matrix in the SU2_GENERATORS basis.
+def coefficients(x, basis):
+    """Re tr(e_a^H x) for an orthonormal basis (d, n, n), on a trailing length-d axis.
 
-    The trailing matrix axes collapse to a length-3 axis; coefficients are
-    real exactly when x is anti-Hermitian.  The trace part is ignored.
+    For su_basis(n) the Hermitian and trace parts of x drop out.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape[-2:] != (2, 2):
-        raise ValueError(f"expected trailing (2, 2) axes, got {x.shape}")
-    c1 = 1j * (x[..., 0, 1] + x[..., 1, 0])
-    c2 = x[..., 1, 0] - x[..., 0, 1]
-    c3 = 1j * (x[..., 0, 0] - x[..., 1, 1])
-    return np.stack([c1, c2, c3], axis=-1)
+    return np.tensordot(x, basis.conj(), ([-2, -1], [1, 2])).real
 
 
-def su2_matrix(c):
-    """Contract a trailing length-3 axis with SU2_GENERATORS.
-
-    Inverse of su2_coefficients; the commutator becomes the cross product
-    of coefficient vectors because [e_1, e_2] = e_3 and cyclic.
-    """
-    c = np.asarray(c)
-    if c.shape[-1] != 3:
-        raise ValueError(f"expected trailing axis of length 3, got {c.shape}")
-    out = np.empty((*c.shape[:-1], 2, 2), dtype=np.complex128)
-    out[..., 0, 0] = -0.5j * c[..., 2]
-    out[..., 1, 1] = 0.5j * c[..., 2]
-    out[..., 0, 1] = -0.5j * c[..., 0] - 0.5 * c[..., 1]
-    out[..., 1, 0] = -0.5j * c[..., 0] + 0.5 * c[..., 1]
-    return out
+def from_coefficients(c, basis):
+    """Sum c_a e_a over a trailing length-d axis; inverse of coefficients."""
+    return np.tensordot(c, basis, ([-1], [0]))
 
 
-def anti_hermitian_defect(x):
-    """Largest violation of X + X^H = 0 and tr X = 0 over leading axes."""
-    x = _check_square(x)
-    sym = np.max(np.abs(x + dagger(x)))
-    tr = np.max(np.abs(np.trace(x, axis1=-2, axis2=-1)))
-    return max(float(sym), float(tr))
-
-
-def unitary_defect(o):
-    """Largest violation of O O^H = I and det O = 1 over leading axes."""
-    o = _check_square(o, "o")
-    eye = np.eye(o.shape[-1], dtype=np.complex128)
-    gram = np.max(np.abs(o @ dagger(o) - eye))
-    det = np.max(np.abs(np.linalg.det(o) - 1.0))
-    return max(float(gram), float(det))
+def structure_constants(basis):
+    """f_abc = Re tr(e_c^H [e_a, e_b]), so that [x, y]_c = f_abc x_a y_b."""
+    return coefficients(bracket(basis[:, None], basis[None, :]), basis)
 
 
 def su_basis(n):
@@ -145,8 +105,3 @@ def lie_expm(x):
     w, u = np.linalg.eigh(h)
     phases = np.exp(-1j * w)
     return (u * phases[..., None, :]) @ dagger(u)
-
-
-def random_group(rng, n=2, shape=(), scale=1.0):
-    """Random special unitary element(s), exp of a random su(n) element."""
-    return lie_expm(random_lie(rng, n=n, shape=shape, scale=scale))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from monopole_lab import diagonal_system
 from monopole_lab.grid_spectral import GridSpec
 
 
@@ -17,3 +18,18 @@ def grid():
 @pytest.fixture
 def grid32():
     return GridSpec(32, 2.0 * np.pi, 1e-3)
+
+
+@pytest.fixture
+def flipped_structure_constant(monkeypatch):
+    """Make the engine's bracket wrong: negate its first f_abc with a < b (and f_bac)."""
+    structure_constants = diagonal_system.structure_constants
+
+    def flipped(basis):
+        f = structure_constants(basis)
+        a, b, c = np.argwhere(np.abs(f) > 1e-12)[0]
+        f[a, b, c] *= -1.0
+        f[b, a, c] *= -1.0
+        return f
+
+    monkeypatch.setattr(diagonal_system, "structure_constants", flipped)

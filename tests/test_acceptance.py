@@ -159,21 +159,34 @@ def test_ac3_lorenz_constraint_propagates():
     )
 
 
-def test_ac4_stepper_order_and_engine_agreement():
+def _ac4_state(n):
     grid = GridSpec(32, 2.0 * np.pi, 1e-3)
     rng = np.random.default_rng(104)
-    state = random_diagonal_state(rng, grid, amplitude=0.8, kmax=3)
-    solver = HalfWaveSolver(grid)
+    return random_diagonal_state(rng, grid, n=n, amplitude=0.8, kmax=3)
+
+
+def _ac4_order(state):
+    """Observed order of the stepper from three step sizes, and its two errors."""
+    solver = HalfWaveSolver(state.grid)
     t_final = 0.4
     finals = [
         solver.evolve(state, round(t_final / h), h=h) for h in (4e-3, 2e-3, 1e-3)
     ]
     e1 = state_distance(finals[0], finals[1])
     e2 = state_distance(finals[1], finals[2])
-    order = float(np.log2(e1 / e2))
+    return float(np.log2(e1 / e2)), e1, e2
 
-    reference = reference_evolve(state, 50, grid.dt)
-    engine_gap = state_distance(solver.evolve(state, 50), reference) / state_max_abs(state)
+
+def _ac4_engine_gap(state):
+    """Distance after 50 steps to the reference stepper, relative to the state."""
+    reference = reference_evolve(state, 50, state.grid.dt)
+    return state_distance(HalfWaveSolver(state.grid).evolve(state, 50), reference) / state_max_abs(state)
+
+
+def test_ac4_stepper_order_and_engine_agreement():
+    state = _ac4_state(2)
+    order, e1, e2 = _ac4_order(state)
+    engine_gap = _ac4_engine_gap(state)
     ok = order >= 3.8 and engine_gap <= 1e-12
     assert _report(
         "AC4",
@@ -181,6 +194,35 @@ def test_ac4_stepper_order_and_engine_agreement():
         ok,
         f"order {order:.3f} (e1 {e1:.2e}, e2 {e2:.2e}), engine gap {engine_gap:.2e}",
     )
+
+
+def test_ac4_holds_for_su3_pairs():
+    # the same engine and the same bounds, on su(3) data
+    state = _ac4_state(3)
+    order, e1, e2 = _ac4_order(state)
+    engine_gap = _ac4_engine_gap(state)
+    ok = order >= 3.8 and engine_gap <= 1e-12
+    assert _report(
+        "AC4",
+        "the same for su(3) pairs",
+        ok,
+        f"order {order:.3f} (e1 {e1:.2e}, e2 {e2:.2e}), engine gap {engine_gap:.2e}",
+    )
+
+
+def test_ac4_su3_order_catches_a_first_order_step(monkeypatch):
+    def lawson_euler(self, y, h, k1=None):
+        e = self._half_propagator(h)
+        k1 = self._nonlinearity(y) if k1 is None else k1
+        return self._propagate(e, self._propagate(e, y + h * k1))
+
+    monkeypatch.setattr(HalfWaveSolver, "_step", lawson_euler)
+    order, _, _ = _ac4_order(_ac4_state(3))
+    assert order < 3.8
+
+
+def test_ac4_su3_gap_catches_a_flipped_structure_constant(flipped_structure_constant):
+    assert _ac4_engine_gap(_ac4_state(3)) > 1e-3
 
 
 def test_ac5_window_times_wave_factorizes():

@@ -139,11 +139,14 @@ def _assert_usage_error_in_child(tmp_path, args, message):
         (["verify-norms", "t_window=0"], "t_window must be positive"),
         (["verify-norms", "t_window=-2"], "t_window must be positive"),
         (["probe-bilinear", "t_window=0"], "t_window must be positive"),
+        (["residuals", "lorenz_tol=-1"], "lorenz_tol must be positive"),
+        (["verify-cone", "rtol=-1"], "rtol must be positive"),
     ],
     ids=["simulate-sample_every", "simulate-steps", "residuals-sample_every",
          "verify-norms-n_t", "verify-null-null_samples", "scaling-kmax",
          "verify-norms-kmax", "verify-norms-t_window-zero",
-         "verify-norms-t_window-negative", "probe-bilinear-t_window"],
+         "verify-norms-t_window-negative", "probe-bilinear-t_window",
+         "residuals-lorenz_tol", "verify-cone-rtol"],
 )
 def test_values_below_their_bound_exit_2(tmp_path, args, message):
     _assert_usage_error_in_child(tmp_path, [*args, "n=16"], message)

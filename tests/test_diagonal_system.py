@@ -6,7 +6,6 @@ import scipy.fft
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from monopole_lab import diagonal_system
 from monopole_lab.diagonal_system import (
     DiagonalState,
     HalfWaveSolver,
@@ -30,12 +29,11 @@ from monopole_lab.gauge_fields import (
 )
 from monopole_lab.grid_spectral import (
     GridSpec,
-    dealias,
     fft_forward,
     fft_inverse,
     random_band_limited,
 )
-from monopole_lab.lie import SU2_GENERATORS, anti_hermitian_defect
+from monopole_lab.lie import dagger, su_basis
 
 from reference_stepper import reference_evolve
 
@@ -78,6 +76,10 @@ def test_state_validation(grid):
         DiagonalState(grid, good, good, good, np.zeros((2, n, n, 2, 3)))
     with pytest.raises(ValueError):
         DiagonalState(grid, np.zeros((3, n, n, 2, 2)), good, good, good)
+    # each component is well formed, but the v pair holds su(3) matrices
+    su3 = np.zeros((2, n, n, 3, 3))
+    with pytest.raises(ValueError, match="shapes disagree"):
+        DiagonalState(grid, good, good, su3, su3)
 
 
 def test_rhs_projected_and_direct_agree(rng, grid):
@@ -97,7 +99,7 @@ def test_free_flow_phases_single_mode(grid):
     n = grid.n_points
     x = grid.length * np.arange(n) / n
     pair = np.zeros((2, n, n, 2, 2), dtype=complex)
-    pair[0] = np.cos(x)[:, None, None, None] * SU2_GENERATORS[2]
+    pair[0] = np.cos(x)[:, None, None, None] * su_basis(2)[2]
     state = diagonal_split(grid, pair, pair)
     out = HalfWaveSolver(grid).evolve(state, 30, h=1e-2)
     # u_plus and v_minus turn by e^{+0.3i}, u_minus and v_plus by e^{-0.3i};
@@ -111,7 +113,7 @@ def test_free_flow_phases_single_mode(grid):
 def test_step_equals_free_flow_without_nonlinearity(rng, grid):
     # all fields along one generator: every bracket vanishes identically,
     # so the steps are the exact linear flow
-    e3 = SU2_GENERATORS[2]
+    e3 = su_basis(2)[2]
     coeffs = random_band_limited(rng, grid, kmax=3, shape=(4,))
     a0, a1, a2, phi = (c[..., None, None] * e3 for c in coeffs)
     state = state_from_config(MonopoleConfig(grid=grid, a0=a0, a1=a1, a2=a2, phi=phi))
@@ -158,9 +160,9 @@ def test_solver_matches_reference_ode(rng):
     assert np.max(np.abs(final.v() - v_ref)) < 1e-9
 
 
-def test_fourth_order_convergence(rng):
+def _convergence_order(rng, n):
     grid = GridSpec(16, 2 * np.pi, 1e-3)
-    state = random_diagonal_state(rng, grid, amplitude=0.5, kmax=2)
+    state = random_diagonal_state(rng, grid, n=n, amplitude=0.5, kmax=2)
     solver = HalfWaveSolver(grid)
     t_final = 0.16
     finals = [
@@ -169,8 +171,15 @@ def test_fourth_order_convergence(rng):
     ]
     e1 = state_distance(finals[0], finals[1])
     e2 = state_distance(finals[1], finals[2])
-    order = np.log2(e1 / e2)
-    assert 3.5 < order < 4.5
+    return np.log2(e1 / e2)
+
+
+def test_fourth_order_convergence(rng):
+    assert 3.5 < _convergence_order(rng, 2) < 4.5
+
+
+def test_fourth_order_convergence_su3(rng):
+    assert 3.5 < _convergence_order(rng, 3) < 4.5
 
 
 def test_reversibility(rng, grid):
@@ -186,7 +195,7 @@ def test_su_structure_preserved_along_flow(rng, grid):
     solver = HalfWaveSolver(grid)
     final = solver.evolve(state, 40, h=2e-3)
     for pair in (final.u(), final.v()):
-        assert anti_hermitian_defect(pair) < 1e-11
+        assert np.max(np.abs(pair + dagger(pair))) < 1e-11
         assert np.max(np.abs(np.trace(pair, axis1=-2, axis2=-1))) < 1e-11
 
 
@@ -211,8 +220,8 @@ def test_monopole_residual_vanishes_for_band_limited_data(rng, grid):
 
 
 def test_config_with_derivatives_takes_su3_pairs(rng, grid):
-    # the bridge reads its rates off the pair_rhs oracle, which is rank
-    # generic, while the stepping engine refuses su(3)
+    # the bridge reads its rates off the pair_rhs oracle, not the engine,
+    # and that oracle takes su(3) pairs as well
     state = random_diagonal_state(rng, grid, n=3, amplitude=0.4, kmax=grid.n_points // 6)
     cfg, dts = HalfWaveSolver(grid).config_with_derivatives(state)
     assert max(sup_norm(r) for r in monopole_residual(cfg, dts)) < 1e-11
@@ -226,7 +235,7 @@ def test_monopole_residual_in_band_vanishes_along_flow(rng, grid):
     worst = 0.0
     for s, rates in _flow(solver, state, 10):
         rows = np.stack(monopole_residual(*_fields_and_rates(s, rates)))
-        in_band = dealias(fft_forward(rows, grid), grid)
+        in_band = fft_forward(rows, grid) * grid.dealias_mask[..., None, None]
         worst = max(worst, float(np.max(np.abs(in_band))))
     assert worst < 1e-11
 
@@ -268,12 +277,33 @@ def test_picard_iterates_converge_to_evolution(rng):
     assert state_distance(iters[-1], reference) < 1e-6
 
 
-def test_evolve_matches_reference_stepper(rng):
+def _reference_gap(rng, n):
+    """Distance after 20 steps between the engine and the reference stepper,
+    and the largest entry of the random su(n) state they start from."""
     grid = GridSpec(16, 2 * np.pi, 1e-3)
-    state = random_diagonal_state(rng, grid, amplitude=0.4)
+    state = random_diagonal_state(rng, grid, n=n, amplitude=0.4)
     engine = HalfWaveSolver(grid).evolve(state, 20)
-    reference = reference_evolve(state, 20, grid.dt)
-    assert state_distance(engine, reference) < 1e-12 * state_max_abs(state)
+    return state_distance(engine, reference_evolve(state, 20, grid.dt)), state_max_abs(state)
+
+
+def test_evolve_matches_reference_stepper(rng):
+    gap, scale = _reference_gap(rng, 2)
+    assert gap < 1e-12 * scale
+
+
+def test_evolve_matches_reference_stepper_su3(rng):
+    gap, scale = _reference_gap(rng, 3)
+    assert gap < 1e-12 * scale
+
+
+def test_one_solver_follows_the_rank_of_each_state(rng, grid):
+    # the basis, the bracket table and the scratch buffers are read off each
+    # state that enters, so alternating ranks match fresh solvers exactly
+    su2 = random_diagonal_state(rng, grid, n=2, amplitude=0.4)
+    su3 = random_diagonal_state(rng, grid, n=3, amplitude=0.4)
+    solver = HalfWaveSolver(grid)
+    for state in (su2, su3, su2):
+        assert state_distance(solver.evolve(state, 3), HalfWaveSolver(grid).evolve(state, 3)) == 0.0
 
 
 def test_reference_gap_catches_a_flipped_propagator_sign(rng, monkeypatch):
@@ -308,13 +338,14 @@ def test_fast_engine_rejects_inconsistent_states(rng):
         return DiagonalState(grid, u_plus, u_minus, state.v_plus, state.v_minus)
 
     # the mode kx = N/2, ky = 0, shared as the half-spectrum R shares it
-    nyquist = 0.05 * (-1.0) ** j[:, None, None, None] * SU2_GENERATORS[2]
-    hermitian = 0.1 * np.cos(y)[..., None, None] * (1j * SU2_GENERATORS[0])
+    e1, _, e3 = su_basis(2)
+    nyquist = 0.05 * (-1.0) ** j[:, None, None, None] * e3
+    hermitian = 0.1 * np.cos(y)[..., None, None] * (1j * e1)
     trace = 0.1 * np.cos(x)[..., None, None] * (1j * np.eye(2))
     # a complex multiple of one generator, whose brackets vanish
     zero = np.zeros((2, n, n, 2, 2), dtype=complex)
     bump_hat = zero.copy()
-    bump_hat[0, 1, 0] = SU2_GENERATORS[2]
+    bump_hat[0, 1, 0] = e3
     # each state with the test that refuses it; the Nyquist, Hermitian and
     # trace states pass every other test of the gate
     refused = [
@@ -323,7 +354,6 @@ def test_fast_engine_rejects_inconsistent_states(rng):
         (added(nyquist, nyquist), "Nyquist"),
         (added(0.0, hermitian), "anti-Hermitian and traceless"),
         (added(0.0, trace), "anti-Hermitian and traceless"),
-        (random_diagonal_state(rng, grid, n=3, amplitude=0.4), "su(2) rank"),
         (DiagonalState(grid, fft_inverse(bump_hat, grid), zero, zero, zero),
          "anti-Hermitian and traceless"),
     ]
@@ -377,9 +407,9 @@ def _record_and_operator_rows(state, n_steps):
     return record, final, s, np.array(lorenz_ref), np.array(rows_ref)
 
 
-def test_residual_record_matches_operator_evaluation(rng):
+def _check_residual_record_against_operators(rng, n):
     grid = GridSpec(16, 2 * np.pi, 1e-3)
-    state = random_diagonal_state(rng, grid, amplitude=0.4)
+    state = random_diagonal_state(rng, grid, n=n, amplitude=0.4)
     record, final, stepped, lorenz_ref, rows_ref = _record_and_operator_rows(state, 8)
     assert state_distance(final, stepped) < 1e-13
     assert record.times.shape == (9,)
@@ -393,21 +423,26 @@ def test_residual_record_matches_operator_evaluation(rng):
     assert_allclose(record.rows, rows_ref, rtol=1e-6, atol=1e-13)
 
 
-def test_residual_record_departs_from_the_operators_with_a_wrong_bracket(rng, monkeypatch):
+def test_residual_record_matches_operator_evaluation(rng):
+    _check_residual_record_against_operators(rng, 2)
+
+
+def test_residual_record_matches_operator_evaluation_su3(rng):
+    _check_residual_record_against_operators(rng, 3)
+
+
+def test_residual_record_departs_from_the_operators_with_a_wrong_bracket(rng, flipped_structure_constant):
     # the record's rows equal the operators' only while the engine's
-    # brackets are right: flip one component of the cross product and the
-    # rhs rates no longer solve the rows, while the dealias drop stays small
-    grid = GridSpec(16, 2 * np.pi, 1e-3)
-    state = random_diagonal_state(rng, grid, amplitude=0.4)
-    cross = diagonal_system._cross
-
-    def flipped(a, b, out, tmp):
-        cross(a, b, out, tmp)
-        out[2] *= -1.0
-
-    monkeypatch.setattr(diagonal_system, "_cross", flipped)
-    record, _, _, _, rows_ref = _record_and_operator_rows(state, 8)
-    assert np.max(np.abs(record.rows - rows_ref)) > 1e-3 * np.max(rows_ref)
+    # brackets are right: flip one structure constant and the rhs rates no
+    # longer solve the rows, while the dealias drop stays small; the same
+    # flip opens the gap to the reference stepper, in su(2) and in su(3)
+    for n in (2, 3):
+        grid = GridSpec(16, 2 * np.pi, 1e-3)
+        state = random_diagonal_state(rng, grid, n=n, amplitude=0.4)
+        record, _, _, _, rows_ref = _record_and_operator_rows(state, 8)
+        assert np.max(np.abs(record.rows - rows_ref)) > 1e-3 * np.max(rows_ref)
+        gap, scale = _reference_gap(rng, n)
+        assert gap > 1e-3 * scale
 
 
 def test_residual_record_sampling_matches_every_step(rng):

@@ -19,7 +19,7 @@ from monopole_lab.gauge_fields import (
     sup_norm,
 )
 from monopole_lab.grid_spectral import GridSpec
-from monopole_lab.lie import SU2_GENERATORS, conjugate, dagger
+from monopole_lab.lie import conjugate, dagger, su_basis
 
 
 def zero_derivatives(cfg):
@@ -42,7 +42,7 @@ def test_config_validation(grid):
 def test_spatial_gradient_single_mode(grid):
     n = grid.n_points
     x = np.arange(n) * grid.length / n
-    e3 = SU2_GENERATORS[2]
+    e3 = su_basis(2)[2]
     f = np.sin(x)[:, None, None, None] * e3 + np.cos(2 * x)[None, :, None, None] * e3
     d1, d2 = spatial_gradient(f, grid)
     want1 = np.broadcast_to(np.cos(x)[:, None, None, None] * e3, f.shape)
@@ -74,7 +74,7 @@ def test_covariant_derivative_vacuum(rng, grid):
 def test_curvature_single_generator_has_no_commutator_part(rng, grid):
     # all fields along one generator: brackets vanish, F is the linear part
     n = grid.n_points
-    e3 = SU2_GENERATORS[2]
+    e3 = su_basis(2)[2]
     coeffs = rng.standard_normal((4, n, n))
     a0, a1, a2, phi = (c[..., None, None] * e3 for c in coeffs)
     cfg = MonopoleConfig(grid=grid, a0=a0, a1=a1, a2=a2, phi=phi)
@@ -93,7 +93,7 @@ def test_exact_traveling_wave_has_zero_residual(grid):
     # the residual must vanish to rounding, pinning down every sign choice.
     n = grid.n_points
     x = (np.arange(n) * grid.length / n)[:, None, None, None]
-    e3 = SU2_GENERATORS[2]
+    e3 = su_basis(2)[2]
     zero = np.zeros((n, n, 2, 2), dtype=complex)
     wave = np.broadcast_to(np.cos(x) * e3, (n, n, 2, 2))
     dwave = np.broadcast_to(np.sin(x) * e3, (n, n, 2, 2))
@@ -126,7 +126,7 @@ def test_hodge_dual_components(rng, grid):
 def test_lorenz_residual_single_mode(grid):
     n = grid.n_points
     x = (np.arange(n) * grid.length / n)[:, None, None, None]
-    e3 = SU2_GENERATORS[2]
+    e3 = su_basis(2)[2]
     zero = np.zeros((n, n, 2, 2), dtype=complex)
     a1 = np.broadcast_to(np.sin(x) * e3, (n, n, 2, 2))
     cfg = MonopoleConfig(grid=grid, a0=zero, a1=a1, a2=zero, phi=zero)

@@ -3,16 +3,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from monopole_lab.lie import (
-    SU2_GENERATORS,
-    anti_hermitian_defect,
     bracket,
+    coefficients,
     conjugate,
     dagger,
+    from_coefficients,
     lie_expm,
-    random_group,
     random_lie,
+    structure_constants,
     su_basis,
-    unitary_defect,
 )
 
 
@@ -22,11 +21,33 @@ def frobenius_norm(x):
     return np.sqrt(np.sum(np.abs(x) ** 2, axis=(-2, -1)))
 
 
+def anti_hermitian_defect(x):
+    """Largest violation of X + X^H = 0 and tr X = 0 over leading axes."""
+    sym = np.max(np.abs(x + dagger(x)))
+    tr = np.max(np.abs(np.trace(x, axis1=-2, axis2=-1)))
+    return max(float(sym), float(tr))
+
+
+def unitary_defect(o):
+    """Largest violation of O O^H = I and det O = 1 over leading axes."""
+    eye = np.eye(o.shape[-1], dtype=np.complex128)
+    gram = np.max(np.abs(o @ dagger(o) - eye))
+    det = np.max(np.abs(np.linalg.det(o) - 1.0))
+    return max(float(gram), float(det))
+
+
+def random_group(rng, n=2, shape=(), scale=1.0):
+    """Random special unitary element(s), exp of a random su(n) element."""
+    return lie_expm(random_lie(rng, n=n, shape=shape, scale=scale))
+
+
 def test_su2_generator_bracket():
-    e1, e2, e3 = SU2_GENERATORS
-    assert_allclose(bracket(e1, e2), e3, atol=1e-15)
-    assert_allclose(bracket(e2, e3), e1, atol=1e-15)
-    assert_allclose(bracket(e3, e1), e2, atol=1e-15)
+    # su_basis(2) is (-i sigma_1, i sigma_2, -i sigma_3) / sqrt(2), so
+    # [e_1, e_2] = -sqrt(2) e_3 and cyclic
+    e1, e2, e3 = su_basis(2)
+    assert_allclose(bracket(e1, e2), -np.sqrt(2.0) * e3, atol=1e-15)
+    assert_allclose(bracket(e2, e3), -np.sqrt(2.0) * e1, atol=1e-15)
+    assert_allclose(bracket(e3, e1), -np.sqrt(2.0) * e2, atol=1e-15)
 
 
 def test_bracket_of_element_with_itself_is_zero(rng):
@@ -92,8 +113,8 @@ def test_conjugate_is_bracket_homomorphism(rng):
 
 def test_frobenius_norm_values():
     assert frobenius_norm(np.zeros((2, 2))) == 0.0
-    e3 = SU2_GENERATORS[2]
-    assert_allclose(frobenius_norm(e3), np.sqrt(0.5), rtol=1e-15)
+    e3 = su_basis(2)[2]
+    assert_allclose(frobenius_norm(e3), 1.0, rtol=1e-15)
     assert_allclose(frobenius_norm(np.eye(3)), np.sqrt(3.0), rtol=1e-15)
 
 
@@ -124,30 +145,42 @@ def test_lie_expm_inverse_is_exp_of_negative(rng):
     assert_allclose(lie_expm(x) @ lie_expm(-x), np.eye(2), atol=1e-13)
 
 
-def test_su2_coefficients_round_trip(rng):
-    from monopole_lab.lie import su2_coefficients, su2_matrix
-
-    x = random_lie(rng, n=2, shape=(6, 5))
-    c = su2_coefficients(x)
-    assert np.max(np.abs(c.imag)) < 1e-14  # real on the algebra
-    assert_allclose(su2_matrix(c), x, atol=1e-14)
-    for a in range(3):
-        unit = np.zeros(3)
-        unit[a] = 1.0
-        assert_allclose(su2_coefficients(SU2_GENERATORS[a]), unit, atol=1e-15)
+@pytest.mark.parametrize("n", [2, 3])
+def test_coefficients_round_trip(rng, n):
+    basis = su_basis(n)
+    x = random_lie(rng, n=n, shape=(6, 5))
+    c = coefficients(x, basis)
+    assert c.shape == (6, 5, n * n - 1)
+    assert_allclose(from_coefficients(c, basis), x, atol=1e-14)
+    assert_allclose(coefficients(basis, basis), np.eye(n * n - 1), atol=1e-15)
 
 
-def test_su2_coefficients_ignore_the_trace():
-    from monopole_lab.lie import su2_coefficients
+@pytest.mark.parametrize("n", [2, 3])
+def test_coefficients_drop_the_hermitian_and_trace_parts(rng, n):
+    basis = su_basis(n)
+    x = random_lie(rng, n=n, shape=(7,))
+    hermitian = 1j * random_lie(rng, n=n, shape=(7,))
+    trace = 0.3j * np.eye(n)
+    assert_allclose(coefficients(x + hermitian + trace, basis), coefficients(x, basis), atol=1e-15)
+    assert np.max(np.abs(from_coefficients(coefficients(hermitian, basis), basis))) < 1e-15
 
-    assert_allclose(su2_coefficients(0.3j * np.eye(2)), np.zeros(3), atol=0)
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_structure_constants_give_the_bracket(rng, n):
+    basis = su_basis(n)
+    f = structure_constants(basis)
+    x = random_lie(rng, n=n, shape=(10,))
+    y = random_lie(rng, n=n, shape=(10,))
+    cx, cy = coefficients(x, basis), coefficients(y, basis)
+    lhs = np.einsum("abc,ka,kb->kc", f, cx, cy)
+    assert_allclose(lhs, coefficients(bracket(x, y), basis), atol=1e-13)
+    assert_allclose(from_coefficients(lhs, basis), bracket(x, y), atol=1e-13)
 
 
-def test_su2_bracket_is_cross_product(rng):
-    from monopole_lab.lie import su2_coefficients, su2_matrix
-
-    a = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
-    b = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
-    lhs = bracket(su2_matrix(a), su2_matrix(b))
-    rhs = su2_matrix(np.cross(a, b))
-    assert_allclose(lhs, rhs, atol=1e-13)
+@pytest.mark.parametrize("n", [2, 3])
+def test_structure_constants_are_totally_antisymmetric(n):
+    f = structure_constants(su_basis(n))
+    assert np.max(np.abs(f)) > 0.5
+    assert_allclose(f, -np.swapaxes(f, 0, 1), atol=1e-15)
+    assert_allclose(f, -np.swapaxes(f, 1, 2), atol=1e-15)
+    assert_allclose(f, np.transpose(f, (1, 2, 0)), atol=1e-15)
