@@ -14,6 +14,7 @@ check failed, 2 means the configuration was unusable.
 
 import argparse
 import csv
+import math
 import os
 import platform
 import sys
@@ -35,7 +36,6 @@ from .fl_norms import (
     check_active_modes,
     embedding_check,
     embedding_constant,
-    free_wave_sample,
     gaussian_window,
     homogeneous_factorization_check,
     scaling_check,
@@ -125,6 +125,8 @@ def _coerce(key, raw):
             value = parser(raw)
         except ValueError:
             raise UsageError(f"invalid value for {key}: {raw!r}") from None
+    if parser is float and not math.isfinite(value):
+        raise UsageError(f"{key} must be finite, got {value!r}")
     if minimum is not None and value < minimum:
         raise UsageError(f"{key} must be at least {minimum}, got {value!r}")
     if key in ("lorenz_tol", "rtol", "t_window") and not value > 0.0:
@@ -368,15 +370,12 @@ def _run_verify_norms(config, grid, rng, out_dir):
         sign = 1 if rng.uniform() < 0.5 else -1
         field = random_band_limited(rng, grid, config.kmax, shape=())
         window = lambda t, w=width: gaussian_window(t, w)
-        lhs, rhs = homogeneous_factorization_check(
+        lhs, rhs, sample = homogeneous_factorization_check(
             field, window, grid, params, sign, t_window=config.t_window, n_t=config.n_t
         )
         defect = abs(lhs - rhs) / rhs
         worst_defect = max(worst_defect, defect)
-        sample = free_wave_sample(
-            grid, field, sign, t_window=config.t_window, n_t=config.n_t, window=window
-        )
-        ratio = embedding_check(sample, grid, params, sign)
+        ratio = embedding_check(sample, grid, params, lhs)
         c_emb = embedding_constant(params.b, params.p)
         worst_embed = max(worst_embed, ratio / c_emb)
         rows.append(

@@ -35,6 +35,14 @@ from .errors import DegenerateInputError
 
 _GL_NODES = 16
 _GL_CACHE = np.polynomial.legendre.leggauss(_GL_NODES)
+# the doubling runs from _N_START points to at most _N_MAX; an unbounded
+# minus branch is cut at u = _U_START, doubled each round up to _U_MAX
+_N_START = 2048
+_N_MAX = 1 << 18
+_U_START = 8.0
+_U_MAX = 64.0
+# Gaussian widths of the mollified oracles, halved for Richardson
+_ORACLE_WIDTHS = (0.1, 0.05, 0.025)
 
 
 @dataclass(frozen=True)
@@ -81,7 +89,25 @@ def _panel_nodes(lo, hi, n_panels):
     return pts, wts
 
 
-def delta_integral_plus(f, tau, xi, rtol=1e-6, n_start=2048, n_max=1 << 18):
+def _doubled(evaluate, rtol):
+    """Double the points of evaluate(n_points, round) until the value settles.
+
+    evaluate returns (value, points used); round counts the doublings.
+    """
+    value, used = evaluate(_N_START, 0)
+    err = np.inf
+    rounds = 0
+    while used * 2 <= _N_MAX:
+        rounds += 1
+        refined, used = evaluate(used * 2, rounds)
+        err = abs(refined - value)
+        value = refined
+        if err <= rtol * max(abs(value), 1e-300):
+            break
+    return DeltaIntegralResult(value=value, quadrature_points=used, est_error=err)
+
+
+def delta_integral_plus(f, tau, xi, rtol=1e-6):
     """Integral of f(eta) against delta(tau - |eta| - |xi - eta|).
 
     f must accept points of shape (..., 2).  tau > |xi| is required;
@@ -94,7 +120,7 @@ def delta_integral_plus(f, tau, xi, rtol=1e-6, n_start=2048, n_max=1 << 18):
         raise DegenerateInputError(f"plus surface needs tau > |xi|, got tau={tau}, |xi|={mag}")
     beta = np.arctan2(xi[1], xi[0]) if mag > 0.0 else 0.0
 
-    def evaluate(n_points):
+    def evaluate(n_points, _):
         phi, wts = _panel_nodes(0.0, 2.0 * np.pi, max(n_points // _GL_NODES, 1))
         cosp = np.cos(phi - beta)
         denom = tau - mag * cosp
@@ -102,20 +128,10 @@ def delta_integral_plus(f, tau, xi, rtol=1e-6, n_start=2048, n_max=1 << 18):
         pts = rho[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
         return float(np.sum(f(pts) * rho * (tau - rho) / denom * wts)), phi.size
 
-    value, used = evaluate(n_start)
-    err = np.inf
-    while used * 2 <= n_max:
-        refined, used = evaluate(used * 2)
-        err = abs(refined - value)
-        value = refined
-        if err <= rtol * max(abs(value), 1e-300):
-            break
-    return DeltaIntegralResult(value=value, quadrature_points=used, est_error=err)
+    return _doubled(evaluate, rtol)
 
 
-def delta_integral_minus(
-    f, tau, xi, rtol=1e-6, n_start=2048, n_max=1 << 18, interaction_band=None, u_start=8.0
-):
+def delta_integral_minus(f, tau, xi, rtol=1e-6, interaction_band=None):
     """Integral of f(eta) against delta(tau - |eta| + |xi - eta|).
 
     Requires |tau| < |xi|.  interaction_band=(lo, hi) restricts to
@@ -146,8 +162,8 @@ def delta_integral_minus(
                 raise DegenerateInputError("interaction band lies below |xi|")
             u_hi = float(np.arccosh(hi / mag))
 
-    def evaluate(n_points, u_cut):
-        hi = min(u_hi, u_cut)
+    def evaluate(n_points, rounds):
+        hi = u_hi if np.isfinite(u_hi) else min(_U_START * 2.0**rounds, _U_MAX)
         if hi <= u_lo:
             return 0.0, 0
         u, wts = _panel_nodes(u_lo, hi, max(n_points // (2 * _GL_NODES), 1))
@@ -159,20 +175,7 @@ def delta_integral_minus(
         weight = (c**2 * ch**2 - a**2) / (2.0 * b)
         return float(np.sum(f(pts) * weight * wts)), u.size
 
-    u_cut = u_start if not np.isfinite(u_hi) else u_hi
-    value, used = evaluate(n_start, u_cut)
-    err = np.inf
-    while used * 2 <= n_max:
-        if np.isfinite(u_hi):
-            refined, used = evaluate(used * 2, u_cut)
-        else:
-            u_cut = min(2.0 * u_cut, 64.0)
-            refined, used = evaluate(used * 2, u_cut)
-        err = abs(refined - value)
-        value = refined
-        if err <= rtol * max(abs(value), 1e-300):
-            break
-    return DeltaIntegralResult(value=value, quadrature_points=used, est_error=err)
+    return _doubled(evaluate, rtol)
 
 
 # -- normalized interaction kernels -------------------------------------------
@@ -300,7 +303,7 @@ def _richardson(values):
     return (4.0 * values[-1] - values[-2]) / 3.0
 
 
-def mollified_oracle_plus(f, tau, xi, widths=(0.1, 0.05, 0.025), n_angles=512, n_radial=96):
+def mollified_oracle_plus(f, tau, xi):
     """Forward-surface integral with the delta replaced by a Gaussian.
 
     For each width the constraint g = |eta| + |xi - eta| - tau is fed
@@ -315,16 +318,16 @@ def mollified_oracle_plus(f, tau, xi, widths=(0.1, 0.05, 0.025), n_angles=512, n
     if tau <= mag:
         raise DegenerateInputError(f"plus surface needs tau > |xi|, got tau={tau}, |xi|={mag}")
     beta = np.arctan2(xi[1], xi[0]) if mag > 0.0 else 0.0
-    phi, wphi = _panel_nodes(0.0, 2.0 * np.pi, n_angles // _GL_NODES)
+    phi, wphi = _panel_nodes(0.0, 2.0 * np.pi, 512 // _GL_NODES)
     cosp = np.cos(phi - beta)
     rho_star = (tau**2 - mag**2) / (2.0 * (tau - mag * cosp))
     # local slope of g along the ray, used only to size the window
     slope = (tau - mag * cosp) / (tau - rho_star)
-    t, wt = _panel_nodes(-1.0, 1.0, n_radial // _GL_NODES)
+    t, wt = _panel_nodes(-1.0, 1.0, 96 // _GL_NODES)
     e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
     values = []
-    for eps in widths:
+    for eps in _ORACLE_WIDTHS:
         half_window = 10.0 * eps / slope
         lo = np.maximum(rho_star - half_window, 1e-12)
         hi = rho_star + half_window
@@ -338,12 +341,12 @@ def mollified_oracle_plus(f, tau, xi, widths=(0.1, 0.05, 0.025), n_angles=512, n
     return _richardson(values)
 
 
-def mollified_oracle_minus(f, tau, xi, widths=(0.1, 0.05, 0.025), y_max=12.0, n_y=768, n_x=96):
+def mollified_oracle_minus(f, tau, xi):
     """Backward-surface integral with a Gaussian in place of the delta.
 
     Works in the frame of xi, sweeping the coordinate along the branch
-    and integrating a Gaussian window across it; y_max truncates the
-    sweep, so f must be negligible beyond it.
+    and integrating a Gaussian window across it; the sweep stops at
+    |y| = 12, so f must be negligible beyond it.
     """
     xi = np.asarray(xi, dtype=float)
     mag = float(np.hypot(*xi))
@@ -356,16 +359,16 @@ def mollified_oracle_minus(f, tau, xi, widths=(0.1, 0.05, 0.025), y_max=12.0, n_
     b = np.sqrt(c**2 - a**2)
     beta = np.arctan2(xi[1], xi[0])
     rot = np.array([[np.cos(beta), -np.sin(beta)], [np.sin(beta), np.cos(beta)]])
-    y, wy = _panel_nodes(-y_max, y_max, n_y // _GL_NODES)
+    y, wy = _panel_nodes(-12.0, 12.0, 768 // _GL_NODES)
     x_star = c + a * np.sqrt(1.0 + (y / b) ** 2)
     r1 = np.hypot(x_star, y)
     r2 = np.hypot(x_star - mag, y)
     # transversal slope of g = |eta| - |xi - eta| - tau across the branch
     slope = np.abs(x_star / r1 - (x_star - mag) / r2)
-    t, wt = _panel_nodes(-1.0, 1.0, n_x // _GL_NODES)
+    t, wt = _panel_nodes(-1.0, 1.0, 96 // _GL_NODES)
 
     values = []
-    for eps in widths:
+    for eps in _ORACLE_WIDTHS:
         half_window = 10.0 * eps / slope
         x = x_star[:, None] + half_window[:, None] * t
         wx = half_window[:, None] * wt
@@ -384,12 +387,12 @@ SWEEP_MAGNITUDES = (0.1, 1.0, 10.0)
 SWEEP_EXPONENTS = (1.05, 1.1, 4.0 / 3.0, 1.5, 2.0)
 
 
-def plus_kernel_sweep(ratios=PLUS_SWEEP_RATIOS, mags=SWEEP_MAGNITUDES, ps=SWEEP_EXPONENTS, rtol=1e-6):
+def plus_kernel_sweep(rtol=1e-6):
     """Kernel values over the forward probe lattice; rows for the CSV."""
     rows = []
-    for ratio in ratios:
-        for mag in mags:
-            for p in ps:
+    for ratio in PLUS_SWEEP_RATIOS:
+        for mag in SWEEP_MAGNITUDES:
+            for p in SWEEP_EXPONENTS:
                 probe = ConeProbe(tau=ratio * mag, xi=(mag, 0.0), p=p)
                 result = plus_kernel(probe, rtol=rtol)
                 rows.append(
@@ -406,14 +409,12 @@ def plus_kernel_sweep(ratios=PLUS_SWEEP_RATIOS, mags=SWEEP_MAGNITUDES, ps=SWEEP_
     return rows
 
 
-def minus_kernel_sweep(
-    fractions=MINUS_SWEEP_FRACTIONS, mags=SWEEP_MAGNITUDES, ps=SWEEP_EXPONENTS, rtol=1e-6
-):
+def minus_kernel_sweep(rtol=1e-6):
     """Kernel values over the backward probe lattice; rows for the CSV."""
     rows = []
-    for fraction in fractions:
-        for mag in mags:
-            for p in ps:
+    for fraction in MINUS_SWEEP_FRACTIONS:
+        for mag in SWEEP_MAGNITUDES:
+            for p in SWEEP_EXPONENTS:
                 probe = ConeProbe(tau=fraction * mag, xi=(mag, 0.0), p=p)
                 result = minus_kernel(probe, rtol=rtol)
                 rows.append(
@@ -432,5 +433,5 @@ def minus_kernel_sweep(
     return rows
 
 
-def sweep_max(rows, key="value"):
-    return max(row[key] for row in rows)
+def sweep_max(rows):
+    return max(row["value"] for row in rows)

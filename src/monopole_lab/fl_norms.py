@@ -25,9 +25,9 @@ The weight <sigma>^b is analytic only in the strip |Im sigma| < 1, so
 those offset sums agree like exp(-2 pi / dtau): the native spacing
 pi / T_w of the window leaves a defect near 1e-5.  Since the samples
 are compactly supported in time, the transform zero-pads the window by
-tau_pad before the time FFT, refining dtau to pi / (tau_pad T_w) and
-restoring spectral agreement.  Both sides of every comparison use the
-same padded lattice.
+the factor _TAU_PAD before the time FFT, refining dtau to
+pi / (_TAU_PAD T_w) and restoring spectral agreement.  Both sides of
+every comparison use the same padded lattice.
 
 The bilinear probe evaluates the angle-weighted convolution
 
@@ -51,6 +51,7 @@ from .errors import DegenerateInputError
 from .grid_spectral import GridSpec, dilate
 
 MAX_ACTIVE_MODES = 4096
+_TAU_PAD = 4
 
 
 def conjugate_exponent(p):
@@ -61,17 +62,14 @@ def conjugate_exponent(p):
 
 @dataclass(frozen=True)
 class NormParams:
-    """Exponent bundle (p, s, b) with the probe parameter eps attached."""
+    """Exponent bundle (p, s, b)."""
 
     p: float
     s: float
     b: float
-    eps: float | None = None
 
     def __post_init__(self):
         conjugate_exponent(self.p)
-        if self.eps is not None and not 0.0 < self.eps <= 0.25:
-            raise ValueError(f"eps must lie in (0, 1/4], got {self.eps}")
 
     @property
     def pprime(self):
@@ -83,7 +81,7 @@ class NormParams:
         if not 0.0 < eps <= 0.25:
             raise ValueError(f"eps must lie in (0, 1/4], got {eps}")
         p = 1.0 / (1.0 - 2.0 * eps)
-        return cls(p=p, s=1.0 - 2.0 * eps, b=1.0 - eps, eps=eps)
+        return cls(p=p, s=1.0 - 2.0 * eps, b=1.0 - eps)
 
 
 def tau_lattice(n_t, t_window):
@@ -97,14 +95,11 @@ class SpaceTimeSample:
     values: np.ndarray
     t_window: float
     window: np.ndarray | None = None
-    tau_pad: int = 4
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
         if values.ndim < 3 or values.shape[1] != values.shape[2]:
             raise ValueError(f"expected (n_t, N, N, ...) values, got {values.shape}")
-        if self.tau_pad < 1:
-            raise ValueError(f"tau_pad must be a positive integer, got {self.tau_pad}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -117,18 +112,18 @@ class SpaceTimeSample:
 
     @property
     def dtau(self):
-        return np.pi / (self.tau_pad * self.t_window)
+        return np.pi / (_TAU_PAD * self.t_window)
 
     def times(self):
         return -self.t_window + self.dt * np.arange(self.n_t)
 
     def taus(self):
-        return tau_lattice(self.tau_pad * self.n_t, self.tau_pad * self.t_window)
+        return tau_lattice(_TAU_PAD * self.n_t, _TAU_PAD * self.t_window)
 
     def transform(self):
         """Space-time Fourier data on the zero-padded (tau, xi) lattice."""
         coeffs = _fft.fft2(self.values, axes=(1, 2), norm="forward")
-        pad = [(0, (self.tau_pad - 1) * self.n_t)] + [(0, 0)] * (coeffs.ndim - 1)
+        pad = [(0, (_TAU_PAD - 1) * self.n_t)] + [(0, 0)] * (coeffs.ndim - 1)
         tilde = self.dt * _fft.fft(np.pad(coeffs, pad), axis=0)
         phase = np.exp(1j * self.taus() * self.t_window)
         return tilde * phase.reshape((phase.size,) + (1,) * (self.values.ndim - 1))
@@ -166,17 +161,17 @@ def hsp_norm(field, grid, s, p, homogeneous=False):
     return float(np.sum((weight * mag) ** pprime * cell) ** (1.0 / pprime))
 
 
-def hbp_norm_1d(profile, t_window, b, p, tau_pad=4):
+def hbp_norm_1d(profile, t_window, b, p):
     """One-dimensional <tau>^b weighted norm of a windowed time profile."""
     pprime = conjugate_exponent(p)
     profile = np.asarray(profile, dtype=complex)
     n_t = profile.shape[0]
     dt = 2.0 * t_window / n_t
-    taus = tau_lattice(tau_pad * n_t, tau_pad * t_window)
-    padded = np.pad(profile, (0, (tau_pad - 1) * n_t))
+    taus = tau_lattice(_TAU_PAD * n_t, _TAU_PAD * t_window)
+    padded = np.pad(profile, (0, (_TAU_PAD - 1) * n_t))
     hat = dt * _fft.fft(padded) * np.exp(1j * taus * t_window)
     weight = (1.0 + taus**2) ** (0.5 * b)
-    dtau = np.pi / (tau_pad * t_window)
+    dtau = np.pi / (_TAU_PAD * t_window)
     return float(np.sum((weight * np.abs(hat)) ** pprime * dtau) ** (1.0 / pprime))
 
 
@@ -205,8 +200,8 @@ def gaussian_window(times, width):
     return np.exp(-(times**2) / (2.0 * width**2))
 
 
-def free_wave_sample(grid, field, sign, t_window=2.0, n_t=256, window=None, tau_pad=4):
-    """Windowed half-wave evolution exp(i t sign |D|) of a spatial field."""
+def free_wave_sample(grid, field, sign, window, t_window=2.0, n_t=256):
+    """Half-wave evolution exp(i t sign |D|) of a spatial field times window(t)."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     field = np.asarray(field, dtype=complex)
@@ -215,20 +210,13 @@ def free_wave_sample(grid, field, sign, t_window=2.0, n_t=256, window=None, tau_
         raise ValueError(f"field shape {field.shape} does not match grid n={n}")
     dt = 2.0 * t_window / n_t
     times = -t_window + dt * np.arange(n_t)
-    if window is None:
-        profile = np.ones(n_t)
-    elif callable(window):
-        profile = np.asarray(window(times), dtype=float)
-    else:
-        profile = np.asarray(window, dtype=float)
-        if profile.shape != (n_t,):
-            raise ValueError(f"window shape {profile.shape} does not match n_t={n_t}")
+    profile = np.asarray(window(times), dtype=float)
     hat = _fft.fft2(field, axes=(0, 1))
     extra = (1,) * (field.ndim - 2)
     phases = np.exp(1j * sign * times[:, np.newaxis, np.newaxis] * grid.kabs)
     waves = _fft.ifft2(phases.reshape((n_t, n, n) + extra) * hat, axes=(1, 2))
     values = profile.reshape((n_t,) + (1, 1) + extra) * waves
-    return SpaceTimeSample(values=values, t_window=t_window, window=profile, tau_pad=tau_pad)
+    return SpaceTimeSample(values=values, t_window=t_window, window=profile)
 
 
 def scaling_check(field, grid, lam, s, p):
@@ -257,35 +245,37 @@ def embedding_constant(b, p):
     return value ** (1.0 / p)
 
 
-def embedding_check(sample, grid, params, sign):
-    """sup_t fixed-time norm over space-time norm; bounded by embedding_constant."""
+def embedding_check(sample, grid, params, xsb):
+    """sup_t fixed-time norm over xsb, the sample's space-time norm.
+
+    Bounded by embedding_constant; xsb is the lhs that
+    homogeneous_factorization_check returns with the sample.
+    """
     if params.p * params.b <= 1.0:
         raise ValueError(f"embedding needs p*b > 1, got {params.p * params.b}")
-    denom = xsb_norm(sample, grid, params.s, params.b, params.p, sign)
-    if denom == 0.0:
+    if xsb == 0.0:
         return 0.0
     sup = max(
         hsp_norm(sample.values[j], grid, params.s, params.p)
         for j in range(sample.n_t)
     )
-    return sup / denom
+    return sup / xsb
 
 
-def homogeneous_factorization_check(field, window, grid, params, sign, t_window=2.0, n_t=256, tau_pad=4):
-    """Both sides of |rho W(t) f|_{X^{s,b}_p} = |rho|_{H^b_p} |f|_{H^s_p}.
+def homogeneous_factorization_check(field, window, grid, params, sign, t_window=2.0, n_t=256):
+    """Both sides of |rho W(t) f|_{X^{s,b}_p} = |rho|_{H^b_p} |f|_{H^s_p}, and the sample.
 
     Exact in the continuum; discretely the two sides are Riemann sums of
     one function over lattices offset by |xi| mod the tau spacing, so
-    they agree to spectral accuracy for smooth decaying windows.
+    they agree to spectral accuracy for smooth decaying windows.  The
+    returned sample is the windowed wave rho W(t) f whose norm is lhs.
     """
-    sample = free_wave_sample(
-        grid, field, sign, t_window=t_window, n_t=n_t, window=window, tau_pad=tau_pad
-    )
+    sample = free_wave_sample(grid, field, sign, window, t_window=t_window, n_t=n_t)
     lhs = xsb_norm(sample, grid, params.s, params.b, params.p, sign)
-    rhs = hbp_norm_1d(sample.window, t_window, params.b, params.p, tau_pad=tau_pad) * hsp_norm(
+    rhs = hbp_norm_1d(sample.window, t_window, params.b, params.p) * hsp_norm(
         field, grid, params.s, params.p
     )
-    return lhs, rhs
+    return lhs, rhs, sample
 
 
 @dataclass(frozen=True)
@@ -324,18 +314,15 @@ def _pair_angles(eta, zeta):
     return np.where(norms > 0.0, angles, 0.0)
 
 
-def key_bilinear_probe(phi_tilde, psi_tilde, grid, params, sign, t_window=2.0, weight="angle"):
+def key_bilinear_probe(phi_tilde, psi_tilde, grid, params, sign, t_window=2.0):
     """Angle-weighted mode convolution against the product of input norms.
 
     phi_tilde and psi_tilde are nonnegative space-time Fourier data on the
     (tau, xi) lattice.  The output norm uses exponents (s, 0); the input
-    norms use (s, b) with modulation signs (+, sign).  weight="flat"
-    replaces the angle kernel by one, for domination comparisons.
+    norms use (s, b) with modulation signs (+, sign).
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if weight not in ("angle", "flat"):
-        raise ValueError(f"weight must be 'angle' or 'flat', got {weight}")
     n = grid.n_points
     n_t = np.asarray(phi_tilde).shape[0]
     phi_idx = _active_modes("phi_tilde", phi_tilde, n_t, n)
@@ -349,10 +336,7 @@ def key_bilinear_probe(phi_tilde, psi_tilde, grid, params, sign, t_window=2.0, w
     if phi_idx[0].size and psi_idx[0].size:
         eta = np.stack([grid.kx[phi_idx[1], phi_idx[2]], grid.ky[phi_idx[1], phi_idx[2]]])
         zeta = np.stack([grid.kx[psi_idx[1], psi_idx[2]], grid.ky[psi_idx[1], psi_idx[2]]])
-        if weight == "angle":
-            kernel = _pair_angles(eta[:, :, np.newaxis], sign * zeta[:, np.newaxis, :])
-        else:
-            kernel = np.ones((phi_idx[0].size, psi_idx[0].size))
+        kernel = _pair_angles(eta[:, :, np.newaxis], sign * zeta[:, np.newaxis, :])
         vals = kernel * np.multiply.outer(
             phi_tilde[phi_idx], psi_tilde[psi_idx]
         ) * cell
@@ -377,7 +361,7 @@ def key_bilinear_probe(phi_tilde, psi_tilde, grid, params, sign, t_window=2.0, w
     return BilinearProbeResult(lhs=lhs, rhs_phi=rhs_phi, rhs_psi=rhs_psi, transform=out)
 
 
-def check_active_modes(grid, n_t, n_active, index_cap=None):
+def check_active_modes(grid, n_t, n_active):
     """Raise ValueError unless n_active probe modes fit the quarter band and the cap.
 
     random_positive_coeffs places modes by rejection, so more modes than
@@ -385,8 +369,7 @@ def check_active_modes(grid, n_t, n_active, index_cap=None):
     refuses more than MAX_ACTIVE_MODES.
     """
     n = grid.n_points
-    index_cap = n // 4 if index_cap is None else index_cap
-    slots = min(2 * max(n_t // 4, 1) + 1, n_t) * min(2 * index_cap + 1, n) ** 2
+    slots = min(2 * max(n_t // 4, 1) + 1, n_t) * min(2 * (n // 4) + 1, n) ** 2
     if n_active > slots:
         raise ValueError(f"n_active={n_active} exceeds the {slots} slots of the quarter band")
     if n_active > MAX_ACTIVE_MODES:
@@ -395,16 +378,15 @@ def check_active_modes(grid, n_t, n_active, index_cap=None):
         )
 
 
-def random_positive_coeffs(rng, grid, n_t, n_active, index_cap=None):
+def random_positive_coeffs(rng, grid, n_t, n_active):
     """Sparse nonnegative Fourier data inside a quarter band (no wrap).
 
     check_active_modes refuses an n_active that cannot be placed before
     any draw.
     """
-    check_active_modes(grid, n_t, n_active, index_cap)
+    check_active_modes(grid, n_t, n_active)
     n = grid.n_points
-    if index_cap is None:
-        index_cap = n // 4
+    index_cap = n // 4
     t_cap = max(n_t // 4, 1)
     data = np.zeros((n_t, n, n))
     placed = 0
@@ -418,12 +400,12 @@ def random_positive_coeffs(rng, grid, n_t, n_active, index_cap=None):
     return data
 
 
-def bilinear_sweep(rng, grid, eps_values, signs=(1, -1), n_samples=25, n_active=96, n_t=16, t_window=2.0):
+def bilinear_sweep(rng, grid, eps_values, n_samples=25, n_active=96, n_t=16, t_window=2.0):
     """Ratio records for random probes; the max is the regression baseline."""
     rows = []
     for eps in eps_values:
         params = NormParams.from_eps(eps)
-        for sign in signs:
+        for sign in (1, -1):
             for k in range(n_samples):
                 phi = random_positive_coeffs(rng, grid, n_t, n_active)
                 psi = random_positive_coeffs(rng, grid, n_t, n_active)

@@ -179,23 +179,24 @@ def random_config(rng, grid, n=2, amplitude=0.25, kmax=None):
     return MonopoleConfig(grid=grid, a0=fields[0], a1=fields[1], a2=fields[2], phi=fields[3])
 
 
-def random_derivatives(rng, grid, n=2, amplitude=0.25, kmax=None):
-    """Random band-limited TimeDerivatives, independent of any configuration."""
-    cfg = random_config(rng, grid, n=n, amplitude=amplitude, kmax=kmax)
+def random_derivatives(rng, grid, kmax=None):
+    """Random band-limited su(2) TimeDerivatives, independent of any configuration."""
+    cfg = random_config(rng, grid, kmax=kmax)
     return TimeDerivatives(dt_a0=cfg.a0, dt_a1=cfg.a1, dt_a2=cfg.a2, dt_phi=cfg.phi)
 
 
-def random_gauge_map(rng, grid, n=2, amplitude=0.4, kmax=3):
-    """Smooth periodic gauge map O(x) = exp(X(x)) and its spatial derivatives.
+def random_gauge_map(rng, grid):
+    """Smooth periodic SU(2) gauge map O(x) = exp(X(x)) and its spatial derivatives.
 
-    O is analytic in x, so its spectral derivatives converge superalgebraically
+    X has amplitude 0.4 and is band-limited to |k_index| <= 3.  O is
+    analytic in x, so its spectral derivatives converge superalgebraically
     even though O itself is not band-limited.
     """
-    x = amplitude * random_lie(rng, n=n, shape=(grid.n_points, grid.n_points))
+    x = 0.4 * random_lie(rng, n=2, shape=(grid.n_points, grid.n_points))
     x = np.asarray(x, dtype=np.complex128)
-    x = fft_inverse(fft_forward(x, grid) * band_mask(grid, kmax)[..., None, None], grid)
+    x = fft_inverse(fft_forward(x, grid) * band_mask(grid, 3)[..., None, None], grid)
     x = 0.5 * (x - dagger(x))  # restore exact anti-Hermiticity after masking
-    x = x - np.trace(x, axis1=-2, axis2=-1)[..., None, None] * np.eye(n) / n
+    x = x - np.trace(x, axis1=-2, axis2=-1)[..., None, None] * np.eye(2) / 2
     o = lie_expm(x)
     d1o, d2o = spatial_gradient(o, grid)
     return o, (d1o, d2o)

@@ -88,10 +88,10 @@ def su_basis(n):
     return np.array(basis)
 
 
-def random_lie(rng, n=2, shape=(), scale=1.0):
+def random_lie(rng, n=2, shape=()):
     """Gaussian random su(n) element(s) with real coefficients in su_basis."""
     basis = su_basis(n)
-    coeffs = scale * rng.standard_normal((*shape, n * n - 1))
+    coeffs = rng.standard_normal((*shape, n * n - 1))
     return np.einsum("...a,aij->...ij", coeffs, basis)
 
 

@@ -127,15 +127,15 @@ def symbol_bound_ratio(sign, xi, eta):
     return symbol_norm(sign, zeta, eta) / theta
 
 
-def random_frequency_pairs(rng, n_samples, mag_low=1e-2, mag_high=1e2):
-    """Seeded (xi, eta) samples: log-uniform magnitudes, uniform angles.
+def random_frequency_pairs(rng, n_samples):
+    """Seeded (xi, eta) samples: magnitudes log-uniform in [1e-2, 1e2], uniform angles.
 
     Both factors eta and xi - eta are drawn directly so the sweep covers
     the comparable and the strongly unequal magnitude regimes.
     """
 
     def draw(n):
-        mag = np.exp(rng.uniform(np.log(mag_low), np.log(mag_high), n))
+        mag = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), n))
         ang = rng.uniform(0.0, 2.0 * np.pi, n)
         return mag[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 

@@ -141,12 +141,18 @@ def _assert_usage_error_in_child(tmp_path, args, message):
         (["probe-bilinear", "t_window=0"], "t_window must be positive"),
         (["residuals", "lorenz_tol=-1"], "lorenz_tol must be positive"),
         (["verify-cone", "rtol=-1"], "rtol must be positive"),
+        # every float key refuses inf and nan
+        (["simulate", "length=inf"], "length must be finite, got inf"),
+        (["simulate", "kmax=nan"], "kmax must be finite, got nan"),
+        (["scaling", "length=inf"], "length must be finite, got inf"),
+        (["probe-bilinear", "t_window=inf"], "t_window must be finite, got inf"),
     ],
     ids=["simulate-sample_every", "simulate-steps", "residuals-sample_every",
          "verify-norms-n_t", "verify-null-null_samples", "scaling-kmax",
          "verify-norms-kmax", "verify-norms-t_window-zero",
          "verify-norms-t_window-negative", "probe-bilinear-t_window",
-         "residuals-lorenz_tol", "verify-cone-rtol"],
+         "residuals-lorenz_tol", "verify-cone-rtol", "simulate-length-inf",
+         "simulate-kmax-nan", "scaling-length-inf", "probe-bilinear-t_window-inf"],
 )
 def test_values_below_their_bound_exit_2(tmp_path, args, message):
     _assert_usage_error_in_child(tmp_path, [*args, "n=16"], message)
@@ -208,6 +214,28 @@ def test_identical_config_and_seed_reproduce_identical_bytes(tmp_path):
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
     assert (out_a / "residuals.csv").read_bytes() == (out_b / "residuals.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "n=16", "steps=10", "sample_every=5"],
+        ["verify-null", "null_samples=2000"],
+        ["verify-cone", "rtol=1e-3"],
+        ["verify-norms", "n=16", "norm_tuples=2", "n_t=64"],
+        ["scaling", "n=16"],
+        ["probe-bilinear", "n=16", "probe_samples=2", "n_active=16"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_every_command_reruns_to_identical_csv_bytes(tmp_path, args):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main([*args, "--seed", "11", "--out", str(out_a)]) == 0
+    assert main([*args, "--seed", "11", "--out", str(out_b)]) == 0
+    names = sorted(path.name for path in out_a.glob("*.csv"))
+    assert names and names == sorted(path.name for path in out_b.glob("*.csv"))
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 def test_residuals_csv_columns_and_constraint_check(tmp_path):

@@ -36,9 +36,9 @@ def unitary_defect(o):
     return max(float(gram), float(det))
 
 
-def random_group(rng, n=2, shape=(), scale=1.0):
+def random_group(rng, n=2, shape=()):
     """Random special unitary element(s), exp of a random su(n) element."""
-    return lie_expm(random_lie(rng, n=n, shape=shape, scale=scale))
+    return lie_expm(random_lie(rng, n=n, shape=shape))
 
 
 def test_su2_generator_bracket():
