@@ -23,7 +23,14 @@ import time
 import numpy as np
 import scipy
 
-from .cone_quadrature import minus_kernel_sweep, plus_kernel_sweep, sweep_max
+from .cone_quadrature import (
+    BOUND_RTOL,
+    FROZEN_C_MINUS,
+    FROZEN_C_PLUS,
+    minus_kernel_sweep,
+    plus_kernel_sweep,
+    sweep_max,
+)
 from .diagonal_system import (
     HalfWaveSolver,
     random_diagonal_state,
@@ -131,6 +138,9 @@ def _coerce(key, raw):
         raise UsageError(f"{key} must be at least {minimum}, got {value!r}")
     if key in ("lorenz_tol", "rtol", "t_window") and not value > 0.0:
         raise UsageError(f"{key} must be positive, got {value!r}")
+    # far outside this range the norms' powers of 2 pi / length overflow or underflow
+    if key == "length" and not 1e-6 <= value <= 1e6:
+        raise UsageError(f"length must lie in [1e-6, 1e6], got {value!r}")
     return value
 
 
@@ -299,8 +309,7 @@ def _run_residuals(config, grid, rng, out_dir):
 
 
 def _run_verify_null(config, grid, rng, out_dir):
-    sweep = null_sweep(rng, config.null_samples)
-    env = sweep.envelopes()
+    env = null_sweep(rng, config.null_samples)
     _write_csv(
         os.path.join(out_dir, "null_envelopes.csv"),
         ("quantity", "value"),
@@ -349,14 +358,19 @@ def _run_verify_cone(config, grid, rng, out_dir):
     minus_rows = minus_kernel_sweep(rtol=config.rtol)
     _write_dict_csv(os.path.join(out_dir, "cone_plus.csv"), plus_rows)
     _write_dict_csv(os.path.join(out_dir, "cone_minus.csv"), minus_rows)
-    c_plus = sweep_max(plus_rows)
-    c_minus = sweep_max(minus_rows)
-    split = max(row["split_defect"] for row in minus_rows)
     checks = [
-        ("plus_kernel_bound", np.isfinite(c_plus), f"C_I = {c_plus:.9f}"),
-        ("minus_kernel_bound", np.isfinite(c_minus), f"C_J = {c_minus:.9f}"),
-        ("near_far_split", split <= 1e-6, f"max split defect {split:.3e}"),
+        (
+            f"{kind}_kernel_bound",
+            abs(bound / frozen - 1.0) <= BOUND_RTOL,
+            f"{label} = {bound:.9f} vs frozen {frozen:.9f}, rtol {BOUND_RTOL:.0e}",
+        )
+        for kind, label, bound, frozen in (
+            ("plus", "C_I", sweep_max(plus_rows), FROZEN_C_PLUS),
+            ("minus", "C_J", sweep_max(minus_rows), FROZEN_C_MINUS),
+        )
     ]
+    split = max(row["split_defect"] for row in minus_rows)
+    checks.append(("near_far_split", split <= 1e-6, f"max split defect {split:.3e}"))
     return checks, ["cone_plus.csv", "cone_minus.csv"]
 
 

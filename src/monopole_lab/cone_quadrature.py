@@ -24,8 +24,12 @@ compared against its closed-form rate, plus a mollified-delta oracle
 that replaces the constraint by a narrow Gaussian and Richardson
 extrapolates the width to zero: an independent check of the whole
 change of variables.
+
+Each kernel returns its columns of a verify-cone CSV row as a dict; each
+sweep returns the rows, with the probe's tau_over_mag, mag and p in front.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,27 +184,11 @@ def delta_integral_minus(f, tau, xi, rtol=1e-6, interaction_band=None):
 
 # -- normalized interaction kernels -------------------------------------------
 
-
-@dataclass
-class PlusKernelResult:
-    """Forward-forward kernel |xi| (tau - |xi|)^{p/2} times the surface integral."""
-
-    value: float
-    quadrature: DeltaIntegralResult
-    closed_form_ratio: float
-
-
-@dataclass
-class MinusKernelResult:
-    """Forward-backward kernel with its near/far interaction split."""
-
-    value: float
-    near: float
-    far: float
-    total: DeltaIntegralResult
-    near_closed_form_ratio: float
-    far_bound_ratio: float
-    split_defect: float
+# C_I and C_J, the sweep maxima over the default probe lattices at rtol
+# 1e-6; a sweep must reproduce them to BOUND_RTOL
+FROZEN_C_PLUS = 10.842624179522739
+FROZEN_C_MINUS = 9.073278567497814
+BOUND_RTOL = 2e-2
 
 
 def plus_kernel(probe, rtol=1e-6):
@@ -209,7 +197,8 @@ def plus_kernel(probe, rtol=1e-6):
     The raw surface integral of 1 / (|eta| |xi - eta|^{1 + p/2}) decays
     like 1 / (tau (tau - |xi|)^{p/2}); the normalized value multiplies
     that rate back in, and closed_form_ratio records how tightly the
-    rate matches (it is scale invariant along rays).
+    rate matches (it is scale invariant along rays).  Returns the CSV
+    columns value, closed_form_ratio, quadrature_points and est_error.
     """
     xi = probe.xi_vec
     mag, tau, p = probe.xi_mag, probe.tau, probe.p
@@ -224,11 +213,12 @@ def plus_kernel(probe, rtol=1e-6):
 
     integral = delta_integral_plus(f, tau, xi, rtol=rtol)
     gap = tau - mag
-    return PlusKernelResult(
-        value=mag * gap ** (0.5 * p) * integral.value,
-        quadrature=integral,
-        closed_form_ratio=integral.value * tau * gap ** (0.5 * p),
-    )
+    return {
+        "value": mag * gap ** (0.5 * p) * integral.value,
+        "closed_form_ratio": integral.value * tau * gap ** (0.5 * p),
+        "quadrature_points": integral.quadrature_points,
+        "est_error": integral.est_error,
+    }
 
 
 def minus_kernel(probe, rtol=1e-6):
@@ -239,6 +229,8 @@ def minus_kernel(probe, rtol=1e-6):
     carries the closed-form rate 1 / (|xi|^{1+p/2} ||xi| - |tau||^{p/2});
     the far part obeys the tail bound whose normalized form is
     far_bound_ratio.  An unrestricted quadrature cross-checks the split.
+    Returns the CSV columns value, near, far, near_closed_form_ratio,
+    far_bound_ratio and split_defect.
     """
     xi = probe.xi_vec
     mag, tau, p = probe.xi_mag, probe.tau, probe.p
@@ -254,15 +246,14 @@ def minus_kernel(probe, rtol=1e-6):
     total = delta_integral_minus(f, tau, xi, rtol=rtol)
     prefactor = mag ** (1.0 + 0.5 * p) * abs(mag - abs(tau)) ** (0.5 * p)
     bracket = abs(mag - abs(tau)) / mag
-    return MinusKernelResult(
-        value=prefactor * (near.value + far.value),
-        near=near.value,
-        far=far.value,
-        total=total,
-        near_closed_form_ratio=near.value * prefactor,
-        far_bound_ratio=prefactor * far.value / bracket ** (0.5 * (p - 1.0)),
-        split_defect=abs(near.value + far.value - total.value) / total.value,
-    )
+    return {
+        "value": prefactor * (near.value + far.value),
+        "near": near.value,
+        "far": far.value,
+        "near_closed_form_ratio": near.value * prefactor,
+        "far_bound_ratio": prefactor * far.value / bracket ** (0.5 * (p - 1.0)),
+        "split_defect": abs(near.value + far.value - total.value) / total.value,
+    }
 
 
 def minus_far_kernel_1d(probe):
@@ -387,50 +378,22 @@ SWEEP_MAGNITUDES = (0.1, 1.0, 10.0)
 SWEEP_EXPONENTS = (1.05, 1.1, 4.0 / 3.0, 1.5, 2.0)
 
 
-def plus_kernel_sweep(rtol=1e-6):
-    """Kernel values over the forward probe lattice; rows for the CSV."""
+def _kernel_sweep(kernel, fractions, rtol):
     rows = []
-    for ratio in PLUS_SWEEP_RATIOS:
-        for mag in SWEEP_MAGNITUDES:
-            for p in SWEEP_EXPONENTS:
-                probe = ConeProbe(tau=ratio * mag, xi=(mag, 0.0), p=p)
-                result = plus_kernel(probe, rtol=rtol)
-                rows.append(
-                    {
-                        "tau_over_mag": ratio,
-                        "mag": mag,
-                        "p": p,
-                        "value": result.value,
-                        "closed_form_ratio": result.closed_form_ratio,
-                        "quadrature_points": result.quadrature.quadrature_points,
-                        "est_error": result.quadrature.est_error,
-                    }
-                )
+    for fraction, mag, p in itertools.product(fractions, SWEEP_MAGNITUDES, SWEEP_EXPONENTS):
+        probe = ConeProbe(tau=fraction * mag, xi=(mag, 0.0), p=p)
+        rows.append({"tau_over_mag": fraction, "mag": mag, "p": p, **kernel(probe, rtol=rtol)})
     return rows
+
+
+def plus_kernel_sweep(rtol=1e-6):
+    """Kernel rows over the forward probe lattice tau = ratio |xi|."""
+    return _kernel_sweep(plus_kernel, PLUS_SWEEP_RATIOS, rtol)
 
 
 def minus_kernel_sweep(rtol=1e-6):
-    """Kernel values over the backward probe lattice; rows for the CSV."""
-    rows = []
-    for fraction in MINUS_SWEEP_FRACTIONS:
-        for mag in SWEEP_MAGNITUDES:
-            for p in SWEEP_EXPONENTS:
-                probe = ConeProbe(tau=fraction * mag, xi=(mag, 0.0), p=p)
-                result = minus_kernel(probe, rtol=rtol)
-                rows.append(
-                    {
-                        "tau_over_mag": fraction,
-                        "mag": mag,
-                        "p": p,
-                        "value": result.value,
-                        "near": result.near,
-                        "far": result.far,
-                        "near_closed_form_ratio": result.near_closed_form_ratio,
-                        "far_bound_ratio": result.far_bound_ratio,
-                        "split_defect": result.split_defect,
-                    }
-                )
-    return rows
+    """Kernel rows over the backward probe lattice tau = fraction |xi|."""
+    return _kernel_sweep(minus_kernel, MINUS_SWEEP_FRACTIONS, rtol)
 
 
 def sweep_max(rows):

@@ -71,10 +71,6 @@ class NormParams:
     def __post_init__(self):
         conjugate_exponent(self.p)
 
-    @property
-    def pprime(self):
-        return conjugate_exponent(self.p)
-
     @classmethod
     def from_eps(cls, eps):
         # estimate regime: 1/p = 1 - 2 eps, s = 1/p, b = 1/p + eps
@@ -113,9 +109,6 @@ class SpaceTimeSample:
     @property
     def dtau(self):
         return np.pi / (_TAU_PAD * self.t_window)
-
-    def times(self):
-        return -self.t_window + self.dt * np.arange(self.n_t)
 
     def taus(self):
         return tau_lattice(_TAU_PAD * self.n_t, _TAU_PAD * self.t_window)

@@ -66,9 +66,6 @@ class TimeDerivatives:
     dt_a2: np.ndarray
     dt_phi: np.ndarray
 
-    def fields(self):
-        return (self.dt_a0, self.dt_a1, self.dt_a2, self.dt_phi)
-
 
 def spatial_gradient(field, grid):
     """Spectral (d1 f, d2 f) of a physical field (..., N, N, n, n)."""

@@ -11,8 +11,8 @@ is comparable to an algebraic expression in the weights
 which measure how far the interaction sits from the parallel and
 antiparallel degeneracies.  Those comparisons carry unspecified absolute
 constants, so this module evaluates both sides pointwise and over seeded
-random sweeps; the measured envelopes are frozen in the tests as
-regression baselines rather than asserted as universal truths.
+random sweeps; the envelopes that null_sweep returns are frozen in the
+tests as regression baselines rather than asserted as universal truths.
 
 Conventions: frequencies are real 2-vectors on the trailing axis and
 every operation broadcasts over leading axes.  Angles live in [0, pi]
@@ -21,8 +21,6 @@ relative accuracy near 0 and pi (an arccos of the cosine loses half the
 digits there); exactly parallel pairs hit the endpoints.  Ratios raise
 on the degenerate sets where both sides vanish.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,41 +142,22 @@ def random_frequency_pairs(rng, n_samples):
     return eta + zeta, eta
 
 
-@dataclass
-class NullSweep:
-    """Pointwise comparison ratios over a seeded frequency sample."""
-
-    xi: np.ndarray
-    eta: np.ndarray
-    ratio_plus: np.ndarray
-    ratio_minus: np.ndarray
-    symbol_ratio_plus: np.ndarray
-    symbol_ratio_minus: np.ndarray
-
-    def envelopes(self):
-        """Measured extremes; the regression constants the tests freeze."""
-        return {
-            "ratio_plus_min": float(np.min(self.ratio_plus)),
-            "ratio_plus_max": float(np.max(self.ratio_plus)),
-            "ratio_minus_min": float(np.min(self.ratio_minus)),
-            "ratio_minus_max": float(np.max(self.ratio_minus)),
-            "c_sym": float(
-                max(np.max(self.symbol_ratio_plus), np.max(self.symbol_ratio_minus))
-            ),
-        }
-
-
 def null_sweep(rng, n_samples):
-    """Evaluate every comparison ratio on one random frequency sample."""
+    """Extremes of every comparison ratio over one random frequency sample.
+
+    Returns the envelopes ratio_plus_min, ratio_plus_max, ratio_minus_min,
+    ratio_minus_max and c_sym, the regression constants the tests freeze.
+    """
     xi, eta = random_frequency_pairs(rng, n_samples)
-    return NullSweep(
-        xi=xi,
-        eta=eta,
-        ratio_plus=angle_ratio_plus(xi, eta),
-        ratio_minus=angle_ratio_minus(xi, eta),
-        symbol_ratio_plus=symbol_bound_ratio(+1, xi, eta),
-        symbol_ratio_minus=symbol_bound_ratio(-1, xi, eta),
-    )
+    ratio_plus = angle_ratio_plus(xi, eta)
+    ratio_minus = angle_ratio_minus(xi, eta)
+    return {
+        "ratio_plus_min": float(np.min(ratio_plus)),
+        "ratio_plus_max": float(np.max(ratio_plus)),
+        "ratio_minus_min": float(np.min(ratio_minus)),
+        "ratio_minus_max": float(np.max(ratio_minus)),
+        "c_sym": float(max(np.max(symbol_bound_ratio(sign, xi, eta)) for sign in (+1, -1))),
+    }
 
 
 def approach_defects(base_angle, thetas):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from monopole_lab import diagonal_system
+from monopole_lab import cone_quadrature, diagonal_system
 from monopole_lab.grid_spectral import GridSpec
 
 
@@ -33,3 +33,16 @@ def flipped_structure_constant(monkeypatch):
         return f
 
     monkeypatch.setattr(diagonal_system, "structure_constants", flipped)
+
+
+@pytest.fixture
+def scaled_quadrature(monkeypatch):
+    """Make every direct surface integral of cone_quadrature 5% too large."""
+    doubled = cone_quadrature._doubled
+
+    def scaled(evaluate, rtol):
+        result = doubled(evaluate, rtol)
+        result.value *= 1.05
+        return result
+
+    monkeypatch.setattr(cone_quadrature, "_doubled", scaled)

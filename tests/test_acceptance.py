@@ -12,7 +12,9 @@ import numpy as np
 
 from monopole_lab import fl_norms
 from monopole_lab.cone_quadrature import (
-    ConeProbe,
+    BOUND_RTOL,
+    FROZEN_C_MINUS,
+    FROZEN_C_PLUS,
     delta_integral_minus,
     delta_integral_plus,
     minus_kernel_sweep,
@@ -282,12 +284,13 @@ def test_ac6_scaling_exponents():
     )
 
 
-def test_ac7_cone_kernel_bounds():
-    started = time.perf_counter()
+def _ac7_measure():
+    """Kernel bounds, their gap to the frozen ones, refinement drift, ray spread, split defect."""
     plus_rows = plus_kernel_sweep(rtol=1e-6)
     minus_rows = minus_kernel_sweep(rtol=1e-6)
     c_plus = sweep_max(plus_rows)
     c_minus = sweep_max(minus_rows)
+    frozen_gap = max(abs(c_plus / FROZEN_C_PLUS - 1.0), abs(c_minus / FROZEN_C_MINUS - 1.0))
 
     # refinement stability: squeeze the adaptive tolerance by 10^2
     c_plus_fine = sweep_max(plus_kernel_sweep(rtol=1e-8))
@@ -304,10 +307,15 @@ def test_ac7_cone_kernel_bounds():
     ray_spread = max(max(vals) / min(vals) - 1.0 for vals in rays.values())
 
     split_defect = max(row["split_defect"] for row in minus_rows)
+    return c_plus, c_minus, frozen_gap, drift, ray_spread, split_defect
+
+
+def test_ac7_cone_kernel_bounds():
+    started = time.perf_counter()
+    c_plus, c_minus, frozen_gap, drift, ray_spread, split_defect = _ac7_measure()
     elapsed = time.perf_counter() - started
     ok = (
-        np.isfinite(c_plus)
-        and np.isfinite(c_minus)
+        frozen_gap <= BOUND_RTOL
         and drift <= 0.02
         and ray_spread <= 0.05
         and split_defect <= 1e-4
@@ -317,17 +325,21 @@ def test_ac7_cone_kernel_bounds():
         "AC7",
         "restricted cone kernels over the probe lattice",
         ok,
-        f"C_I {c_plus:.6f}, C_J {c_minus:.6f}, refinement drift {drift:.2e}, "
-        f"ray spread {ray_spread:.2e}, split defect {split_defect:.2e}, "
-        f"wall {elapsed:.1f}s",
+        f"C_I {c_plus:.6f}, C_J {c_minus:.6f} (frozen gap {frozen_gap:.2e}), "
+        f"refinement drift {drift:.2e}, ray spread {ray_spread:.2e}, "
+        f"split defect {split_defect:.2e}, wall {elapsed:.1f}s",
     )
 
 
+def test_ac7_catches_a_scaled_quadrature(scaled_quadrature):
+    # every kernel moves by 5%, so drift, ray spread and split defect stay put
+    _, _, frozen_gap, _, _, _ = _ac7_measure()
+    assert frozen_gap > BOUND_RTOL
+
+
 def test_ac8_null_symbol_bound_and_probe_baseline():
-    sweep = null_sweep(np.random.default_rng(108), 100_000)
-    again = null_sweep(np.random.default_rng(108), 100_000)
-    c_sym = sweep.envelopes()["c_sym"]
-    seed_stable = c_sym == again.envelopes()["c_sym"]
+    c_sym = null_sweep(np.random.default_rng(108), 100_000)["c_sym"]
+    seed_stable = c_sym == null_sweep(np.random.default_rng(108), 100_000)["c_sym"]
 
     path_rng = np.random.default_rng(1008)
     thetas = 2.0 ** -np.arange(1, 12)
@@ -358,7 +370,9 @@ def test_ac8_null_symbol_bound_and_probe_baseline():
     )
 
 
-def test_ac9_delta_integrals_match_mollified_oracles():
+def _ac9_worst_gap():
+    """Largest relative gap of the direct surface integrals to the mollified oracles."""
+
     def bump(center, width):
         c = np.asarray(center, dtype=float)
         return lambda pts: np.exp(-np.sum((pts - c) ** 2, axis=-1) / width)
@@ -392,6 +406,11 @@ def test_ac9_delta_integrals_match_mollified_oracles():
         direct = delta_integral_minus(f, tau, xi).value
         oracle = mollified_oracle_minus(f, tau, xi)
         worst = max(worst, abs(direct - oracle) / abs(oracle))
+    return worst
+
+
+def test_ac9_delta_integrals_match_mollified_oracles():
+    worst = _ac9_worst_gap()
     ok = worst <= 1e-2
     assert _report(
         "AC9",
@@ -399,3 +418,7 @@ def test_ac9_delta_integrals_match_mollified_oracles():
         ok,
         f"max relative gap {worst:.3e}",
     )
+
+
+def test_ac9_catches_a_scaled_quadrature(scaled_quadrature):
+    assert _ac9_worst_gap() > 1e-2

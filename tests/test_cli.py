@@ -108,6 +108,14 @@ def test_unusable_values_exit_2(tmp_path, capsys):
     args = ["probe-bilinear", "--out", str(tmp_path / "d"), "n=64", "n_active=5000", "probe_samples=1"]
     assert main(args) == 2
     assert "cap is 4096" in capsys.readouterr().err
+    # lengths whose mode spacing overflows or underflows in the norms
+    for index, (command, length) in enumerate(
+        (("verify-norms", "1e-300"), ("scaling", "1e-300"), ("probe-bilinear", "1e-300"),
+         ("verify-norms", "1e300"), ("scaling", "1e300"))
+    ):
+        _assert_usage_error_in_child(
+            tmp_path / f"length{index}", [command, f"length={length}"], "length must lie in [1e-6, 1e6]"
+        )
 
 
 def _assert_usage_error_in_child(tmp_path, args, message):
@@ -282,6 +290,13 @@ def test_verify_cone_default_run(tmp_path, capsys):
     assert all(v > 0 for v in values)
     manifest = read_manifest(out / "manifest.txt")
     assert manifest["status"] == "0"
+
+
+def test_verify_cone_fails_with_a_scaled_quadrature(tmp_path, capsys, scaled_quadrature):
+    assert main(["verify-cone", "--out", str(tmp_path / "run")]) == 1
+    printed = capsys.readouterr().out
+    assert "plus_kernel_bound: FAIL" in printed
+    assert "minus_kernel_bound: FAIL" in printed
 
 
 def test_verify_norms_small_run(tmp_path):

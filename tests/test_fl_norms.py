@@ -45,7 +45,7 @@ def test_exponent_validation():
         NormParams.from_eps(0.3)
     params = NormParams.from_eps(0.25)
     assert_allclose((params.p, params.s, params.b), (2.0, 0.5, 0.75))
-    assert_allclose(1.0 / params.p + 1.0 / params.pprime, 1.0)
+    assert_allclose(1.0 / params.p + 1.0 / conjugate_exponent(params.p), 1.0)
 
 
 def test_parseval_anchor_at_p_two():
@@ -131,7 +131,7 @@ def test_single_mode_wave_concentrates_on_characteristic():
         (1.0 + mag_sq) ** (params.s / 2)
         * hbp_norm_1d(sample.window, 2.0, params.b, params.p)
         * 0.83
-        * (2.0 * np.pi / GRID.length) ** (2.0 / params.pprime)
+        * (2.0 * np.pi / GRID.length) ** (2.0 / conjugate_exponent(params.p))
     )
     assert_allclose(left, right, rtol=1e-10)
 
