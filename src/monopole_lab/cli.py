@@ -85,6 +85,10 @@ SCHEMA = {
 }
 
 
+# narrowest and widest gaussian window that verify-norms draws
+_WINDOW_WIDTHS = (0.1, 0.25)
+
+
 class UsageError(Exception):
     """Configuration or invocation problem; maps to exit status 2."""
 
@@ -138,9 +142,9 @@ def _coerce(key, raw):
         raise UsageError(f"{key} must be at least {minimum}, got {value!r}")
     if key in ("lorenz_tol", "rtol", "t_window") and not value > 0.0:
         raise UsageError(f"{key} must be positive, got {value!r}")
-    # far outside this range the norms' powers of 2 pi / length overflow or underflow
-    if key == "length" and not 1e-6 <= value <= 1e6:
-        raise UsageError(f"length must lie in [1e-6, 1e6], got {value!r}")
+    # far outside this range the norms' powers of 2 pi / length or pi / t_window overflow
+    if key in ("length", "t_window") and not 1e-6 <= value <= 1e6:
+        raise UsageError(f"{key} must lie in [1e-6, 1e6], got {value!r}")
     return value
 
 
@@ -374,13 +378,33 @@ def _run_verify_cone(config, grid, rng, out_dir):
     return checks, ["cone_plus.csv", "cone_minus.csv"]
 
 
+def _check_time_lattice(config):
+    """Refuse a time lattice that cannot hold the widest window or resolve the narrowest.
+
+    A gaussian of width w falls below e^-8 at 4 w, and its transform at 4 / w.
+    """
+    narrow, wide = _WINDOW_WIDTHS
+    if config.t_window < 4.0 * wide:
+        raise UsageError(
+            f"t_window must be at least {4.0 * wide} (window width {wide}), got {config.t_window!r}"
+        )
+    edge = 2.0 * math.pi / config.length * min(config.kmax, config.n / 2) * math.sqrt(2.0)
+    nyquist = math.pi * config.n_t / (2.0 * config.t_window)
+    if edge + 4.0 / narrow > nyquist:
+        raise UsageError(
+            f"time lattice too coarse: band edge {edge:.4g} plus window spread {4.0 / narrow:.4g} "
+            f"exceeds the tau Nyquist frequency pi n_t / (2 t_window) = {nyquist:.4g}"
+        )
+
+
 def _run_verify_norms(config, grid, rng, out_dir):
+    _check_time_lattice(config)
     rows = []
     worst_defect = 0.0
     worst_embed = 0.0
     for index in range(config.norm_tuples):
         params = NormParams.from_eps(float(rng.uniform(0.02, 0.25)))
-        width = float(rng.uniform(0.1, 0.25))
+        width = float(rng.uniform(*_WINDOW_WIDTHS))
         sign = 1 if rng.uniform() < 0.5 else -1
         field = random_band_limited(rng, grid, config.kmax, shape=())
         window = lambda t, w=width: gaussian_window(t, w)

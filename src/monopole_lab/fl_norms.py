@@ -9,8 +9,9 @@ so a single mode of amplitude a has norm |a| (2 pi / L)^{2/p'} and the
 p = 2, s = 0 case collapses to an exact Parseval identity with the
 mean-square of the samples.
 
-Space-time samples occupy a window [-T_w, T_w) sampled at n_t points.
-The time transform approximates the line integral over the real line,
+Space-time samples hold these coefficients at n_t times of a window
+[-T_w, T_w), on axes (time, xi_1, xi_2, extra...).  One time transform
+approximates the line integral over the real line,
 
     u_tilde(tau, xi) = dt * sum_j c(t_j, xi) exp(-i tau t_j),
 
@@ -86,7 +87,7 @@ def tau_lattice(n_t, t_window):
 
 @dataclass(frozen=True)
 class SpaceTimeSample:
-    """Windowed space-time field, axes (time, x, y, extra...)."""
+    """Windowed space-time field as Fourier coefficients, axes (time, xi_1, xi_2, extra...)."""
 
     values: np.ndarray
     t_window: float
@@ -98,28 +99,22 @@ class SpaceTimeSample:
             raise ValueError(f"expected (n_t, N, N, ...) values, got {values.shape}")
         object.__setattr__(self, "values", values)
 
-    @property
-    def n_t(self):
-        return self.values.shape[0]
 
-    @property
-    def dt(self):
-        return 2.0 * self.t_window / self.n_t
+def _time_transform(values, t_window):
+    """Zero-padded time transform along axis 0, its tau lattice and the spacing dtau."""
+    n_t = values.shape[0]
+    taus = tau_lattice(_TAU_PAD * n_t, _TAU_PAD * t_window)
+    pad = [(0, (_TAU_PAD - 1) * n_t)] + [(0, 0)] * (values.ndim - 1)
+    tilde = (2.0 * t_window / n_t) * _fft.fft(np.pad(values, pad), axis=0)
+    phase = np.exp(1j * taus * t_window)
+    tilde = tilde * phase.reshape((phase.size,) + (1,) * (values.ndim - 1))
+    return tilde, taus, np.pi / (_TAU_PAD * t_window)
 
-    @property
-    def dtau(self):
-        return np.pi / (_TAU_PAD * self.t_window)
 
-    def taus(self):
-        return tau_lattice(_TAU_PAD * self.n_t, _TAU_PAD * self.t_window)
-
-    def transform(self):
-        """Space-time Fourier data on the zero-padded (tau, xi) lattice."""
-        coeffs = _fft.fft2(self.values, axes=(1, 2), norm="forward")
-        pad = [(0, (_TAU_PAD - 1) * self.n_t)] + [(0, 0)] * (coeffs.ndim - 1)
-        tilde = self.dt * _fft.fft(np.pad(coeffs, pad), axis=0)
-        phase = np.exp(1j * self.taus() * self.t_window)
-        return tilde * phase.reshape((phase.size,) + (1,) * (self.values.ndim - 1))
+def _lp(weighted, cell, p, axis):
+    """Weighted l^{p'} sum of a lattice with cell volume cell."""
+    pprime = conjugate_exponent(p)
+    return np.sum(weighted**pprime * cell, axis=axis) ** (1.0 / pprime)
 
 
 def _magnitude(data, lattice_ndim):
@@ -142,50 +137,34 @@ def _spatial_weight(grid, s, homogeneous):
 
 def hsp_norm(field, grid, s, p, homogeneous=False):
     """Weighted l^{p'} norm of the Fourier coefficients of a spatial field."""
-    pprime = conjugate_exponent(p)
     field = np.asarray(field)
     n = grid.n_points
     if field.shape[:2] != (n, n):
         raise ValueError(f"field shape {field.shape} does not match grid n={n}")
     coeffs = _fft.fft2(field, axes=(0, 1), norm="forward")
-    mag = _magnitude(coeffs, 2)
-    weight = _spatial_weight(grid, s, homogeneous)
-    cell = (2.0 * np.pi / grid.length) ** 2
-    return float(np.sum((weight * mag) ** pprime * cell) ** (1.0 / pprime))
+    weighted = _spatial_weight(grid, s, homogeneous) * _magnitude(coeffs, 2)
+    return float(_lp(weighted, (2.0 * np.pi / grid.length) ** 2, p, None))
 
 
 def hbp_norm_1d(profile, t_window, b, p):
     """One-dimensional <tau>^b weighted norm of a windowed time profile."""
-    pprime = conjugate_exponent(p)
-    profile = np.asarray(profile, dtype=complex)
-    n_t = profile.shape[0]
-    dt = 2.0 * t_window / n_t
-    taus = tau_lattice(_TAU_PAD * n_t, _TAU_PAD * t_window)
-    padded = np.pad(profile, (0, (_TAU_PAD - 1) * n_t))
-    hat = dt * _fft.fft(padded) * np.exp(1j * taus * t_window)
-    weight = (1.0 + taus**2) ** (0.5 * b)
-    dtau = np.pi / (_TAU_PAD * t_window)
-    return float(np.sum((weight * np.abs(hat)) ** pprime * dtau) ** (1.0 / pprime))
+    hat, taus, dtau = _time_transform(np.asarray(profile, dtype=complex), t_window)
+    return float(_lp((1.0 + taus**2) ** (0.5 * b) * np.abs(hat), dtau, p, None))
 
 
 def _xsb_of_transform(tilde, grid, taus, dtau, s, b, p, sign):
-    pprime = conjugate_exponent(p)
-    mag = _magnitude(np.asarray(tilde), 3)
-    kabs = grid.kabs[np.newaxis, :, :]
-    weight = (1.0 + kabs**2) ** (0.5 * s)
-    modulation = -taus[:, np.newaxis, np.newaxis] + sign * kabs
-    weight = weight * (1.0 + modulation**2) ** (0.5 * b)
+    modulation = -taus[:, np.newaxis, np.newaxis] + sign * grid.kabs
+    weight = _spatial_weight(grid, s, False) * (1.0 + modulation**2) ** (0.5 * b)
     cell = dtau * (2.0 * np.pi / grid.length) ** 2
-    return float(np.sum((weight * mag) ** pprime * cell) ** (1.0 / pprime))
+    return float(_lp(weight * _magnitude(np.asarray(tilde), 3), cell, p, None))
 
 
 def xsb_norm(sample, grid, s, b, p, sign):
     """Wave-adapted space-time norm with weight <xi>^s <-tau + sign |xi|>^b."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return _xsb_of_transform(
-        sample.transform(), grid, sample.taus(), sample.dtau, s, b, p, sign
-    )
+    tilde, taus, dtau = _time_transform(sample.values, sample.t_window)
+    return _xsb_of_transform(tilde, grid, taus, dtau, s, b, p, sign)
 
 
 def gaussian_window(times, width):
@@ -194,7 +173,7 @@ def gaussian_window(times, width):
 
 
 def free_wave_sample(grid, field, sign, window, t_window=2.0, n_t=256):
-    """Half-wave evolution exp(i t sign |D|) of a spatial field times window(t)."""
+    """Fourier coefficients of exp(i t sign |D|) field, times window(t), on axes (time, xi, ...)."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     field = np.asarray(field, dtype=complex)
@@ -204,11 +183,10 @@ def free_wave_sample(grid, field, sign, window, t_window=2.0, n_t=256):
     dt = 2.0 * t_window / n_t
     times = -t_window + dt * np.arange(n_t)
     profile = np.asarray(window(times), dtype=float)
-    hat = _fft.fft2(field, axes=(0, 1))
-    extra = (1,) * (field.ndim - 2)
     phases = np.exp(1j * sign * times[:, np.newaxis, np.newaxis] * grid.kabs)
-    waves = _fft.ifft2(phases.reshape((n_t, n, n) + extra) * hat, axes=(1, 2))
-    values = profile.reshape((n_t,) + (1, 1) + extra) * waves
+    waves = profile[:, np.newaxis, np.newaxis] * phases
+    coeffs = _fft.fft2(field, axes=(0, 1), norm="forward")
+    values = waves.reshape((n_t, n, n) + (1,) * (field.ndim - 2)) * coeffs
     return SpaceTimeSample(values=values, t_window=t_window, window=profile)
 
 
@@ -248,11 +226,8 @@ def embedding_check(sample, grid, params, xsb):
         raise ValueError(f"embedding needs p*b > 1, got {params.p * params.b}")
     if xsb == 0.0:
         return 0.0
-    sup = max(
-        hsp_norm(sample.values[j], grid, params.s, params.p)
-        for j in range(sample.n_t)
-    )
-    return sup / xsb
+    weighted = _spatial_weight(grid, params.s, False) * _magnitude(sample.values, 3)
+    return float(np.max(_lp(weighted, (2.0 * np.pi / grid.length) ** 2, params.p, (1, 2)))) / xsb
 
 
 def homogeneous_factorization_check(field, window, grid, params, sign, t_window=2.0, n_t=256):

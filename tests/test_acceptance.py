@@ -264,7 +264,7 @@ def test_ac5_catches_an_unpadded_time_transform(monkeypatch):
     assert _ac5_worst_defect() > 1e-6
 
 
-def test_ac6_scaling_exponents():
+def _ac6_worst_defect():
     grid = GridSpec(16, 2.0 * np.pi, 1e-3)
     rng = np.random.default_rng(106)
     worst = 0.0
@@ -275,6 +275,11 @@ def test_ac6_scaling_exponents():
         expected = s + 1.0 - 2.0 / p
         worst = max(worst, abs(measured - expected))
         details.append(f"(p={p:.3g}, s={s:.3g}): {measured:+.6f} vs {expected:+.6f}")
+    return worst, details
+
+
+def test_ac6_scaling_exponents():
+    worst, details = _ac6_worst_defect()
     ok = worst <= 1e-3
     assert _report(
         "AC6",
@@ -282,6 +287,16 @@ def test_ac6_scaling_exponents():
         ok,
         f"max defect {worst:.1e}; " + "; ".join(details),
     )
+
+
+def test_ac6_catches_an_inhomogeneous_weight(monkeypatch):
+    # <xi>^s does not dilate like |xi|^s, so the measured exponent drifts
+    spatial_weight = fl_norms._spatial_weight
+    monkeypatch.setattr(
+        fl_norms, "_spatial_weight", lambda grid, s, homogeneous: spatial_weight(grid, s, False)
+    )
+    worst, _ = _ac6_worst_defect()
+    assert worst > 1e-3
 
 
 def _ac7_measure():
@@ -337,6 +352,15 @@ def test_ac7_catches_a_scaled_quadrature(scaled_quadrature):
     assert frozen_gap > BOUND_RTOL
 
 
+def _ac8_probe_max():
+    rows = bilinear_sweep(
+        np.random.default_rng(2024),
+        GridSpec(16, 2.0 * np.pi, 1e-3),
+        (1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0),
+    )
+    return max(row["ratio"] for row in rows)
+
+
 def test_ac8_null_symbol_bound_and_probe_baseline():
     c_sym = null_sweep(np.random.default_rng(108), 100_000)["c_sym"]
     seed_stable = c_sym == null_sweep(np.random.default_rng(108), 100_000)["c_sym"]
@@ -350,12 +374,7 @@ def test_ac8_null_symbol_bound_and_probe_baseline():
         path_ok = path_ok and bool(np.all(norms <= 0.5 * thetas + 1e-12))
         tail = max(tail, float(norms[-1]))
 
-    rows = bilinear_sweep(
-        np.random.default_rng(2024),
-        GridSpec(16, 2.0 * np.pi, 1e-3),
-        (1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0),
-    )
-    probe_max = max(row["ratio"] for row in rows)
+    probe_max = _ac8_probe_max()
     probe_ok = probe_max <= RECORDED_PROBE_BASELINE * (1.0 + 1e-9)
 
     # the angle keeps full relative accuracy near 0 and pi, so the
@@ -368,6 +387,13 @@ def test_ac8_null_symbol_bound_and_probe_baseline():
         f"C_sym {c_sym:.12f} (seed stable {seed_stable}), path tail {tail:.2e}, "
         f"probe max {probe_max:.9f} vs baseline {RECORDED_PROBE_BASELINE:.9f}",
     )
+
+
+def test_ac8_probe_baseline_catches_a_scaled_angle(monkeypatch):
+    # a 1% larger angle weight moves only the output norm, so the ratio grows by 1%
+    pair_angles = fl_norms._pair_angles
+    monkeypatch.setattr(fl_norms, "_pair_angles", lambda eta, zeta: 1.01 * pair_angles(eta, zeta))
+    assert _ac8_probe_max() > RECORDED_PROBE_BASELINE * (1.0 + 1e-9)
 
 
 def _ac9_worst_gap():

@@ -116,6 +116,30 @@ def test_unusable_values_exit_2(tmp_path, capsys):
         _assert_usage_error_in_child(
             tmp_path / f"length{index}", [command, f"length={length}"], "length must lie in [1e-6, 1e6]"
         )
+    # time lattices that cannot hold the widest window or resolve the narrowest,
+    # and a t_window whose powers overflow
+    for index, (args, message) in enumerate(
+        (
+            (["verify-norms", "length=0.25"], "time lattice too coarse"),
+            (["verify-norms", "t_window=0.5"], "t_window must be at least 1.0"),
+            (["verify-norms", "t_window=0.75"], "t_window must be at least 1.0"),
+            (["verify-norms", "t_window=16"], "time lattice too coarse"),
+            (["verify-norms", "--seed", "1", "t_window=12"], "time lattice too coarse"),
+            (["verify-norms", "n_t=32"], "time lattice too coarse"),
+            (["verify-norms", "t_window=1e-300"], "t_window must lie in [1e-6, 1e6]"),
+            (["probe-bilinear", "n=16", "probe_samples=1", "n_active=16", "t_window=1e-300"],
+             "t_window must lie in [1e-6, 1e6]"),
+        )
+    ):
+        out = tmp_path / f"window{index}"
+        assert main([*args, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("setting", ["t_window=1.0", "t_window=8", "length=0.3", "n_t=64"])
+def test_verify_norms_runs_at_the_edges_of_the_time_lattice_rule(tmp_path, setting):
+    assert main(["verify-norms", "--out", str(tmp_path), "norm_tuples=3", setting]) == 0
 
 
 def _assert_usage_error_in_child(tmp_path, args, message):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.fft import ifft2
 from scipy.integrate import quad
 
 from monopole_lab.errors import DegenerateInputError
@@ -326,4 +327,29 @@ def test_free_wave_sample_validation():
         free_wave_sample(GRID, np.zeros((12, 16)), 1, np.ones_like)
     sample = free_wave_sample(GRID, np.ones((16, 16)), 1, np.ones_like, n_t=64)
     assert sample.values.shape == (64, 16, 16)
-    assert sample.n_t == 64 and sample.dt == pytest.approx(4.0 / 64)
+
+
+def test_free_wave_sample_holds_fourier_coefficients():
+    # cos x = (e^{ix} + e^{-ix}) / 2 and |xi| = 1 on both modes
+    x = 2.0 * np.pi / 16 * np.arange(16)
+    field = np.cos(x)[:, None] * np.ones(16)[None, :]
+    times = -2.0 + (4.0 / 64) * np.arange(64)
+    for sign in (1, -1):
+        sample = free_wave_sample(
+            GRID, field, sign, lambda t: gaussian_window(t, 0.2), n_t=64
+        )
+        want = np.zeros((64, 16, 16), dtype=complex)
+        want[:, 1, 0] = gaussian_window(times, 0.2) * np.exp(1j * sign * times) / 2
+        want[:, 15, 0] = want[:, 1, 0]
+        assert_allclose(sample.values, want, rtol=0.0, atol=1e-15)
+
+
+def test_embedding_check_is_the_largest_slice_norm():
+    rng = np.random.default_rng(8)
+    params = NormParams.from_eps(0.125)
+    for shape in ((8, 16, 16), (8, 16, 16, 2, 2)):
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        slices = ifft2(values, axes=(1, 2), norm="forward")
+        sup = max(hsp_norm(f, GRID, params.s, params.p) for f in slices)
+        ratio = embedding_check(SpaceTimeSample(values, 2.0), GRID, params, 0.5)
+        assert_allclose(ratio, sup / 0.5, rtol=1e-12)
