@@ -2,8 +2,10 @@
 
 Configuration is a flat ``key = value`` text file with # comments.  CLI
 ``key=value`` arguments override file entries, and the dedicated flags
---seed and --out override both.  Every run writes CSV artifacts, a
-manifest echoing the resolved configuration together with library
+--seed and --out override both.  Each command's runner computes its
+checks and its tables, one ``(header, rows)`` per CSV name, and writes
+nothing; ``run`` alone creates the output directory and writes the CSVs,
+a manifest echoing the resolved configuration together with library
 versions and wall time, and a plot script that consumes the CSVs.  CSV
 files are comma separated, UTF-8, LF line endings, with floats printed
 via repr so identical (config, seed) pairs reproduce identical bytes.
@@ -50,16 +52,6 @@ from .fl_norms import (
 from .grid_spectral import GridSpec, random_band_limited
 from .null_geometry import approach_defects, null_sweep
 
-COMMANDS = (
-    "simulate",
-    "residuals",
-    "verify-null",
-    "verify-cone",
-    "verify-norms",
-    "scaling",
-    "probe-bilinear",
-)
-
 # key -> (parser, default, description, lower bound or None); one flat
 # namespace for all commands
 SCHEMA = {
@@ -81,7 +73,6 @@ SCHEMA = {
     "probe_n_t": (int, 16, "time lattice size of probe data", 1),
     "n_t": (int, 256, "time samples of windowed waves", 1),
     "t_window": (float, 2.0, "half width of the time window", None),
-    "eps": (float, 0.125, "estimate parameter eps", None),
 }
 
 
@@ -109,18 +100,22 @@ class RunConfig:
 
 def load_config(path):
     """Flat key = value file with # comments; returns raw string values."""
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        raise UsageError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise UsageError(f"cannot read config file {path}: {err}") from None
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise UsageError(f"{path}:{lineno}: expected key = value, got {text!r}")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            values[key] = raw
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise UsageError(f"{path}:{lineno}: expected key = value, got {text!r}")
+        key, raw = (part.strip() for part in text.split("=", 1))
+        values[key] = raw
     return values
 
 
@@ -187,9 +182,10 @@ def _write_csv(path, header, rows):
             writer.writerow([_format_cell(value) for value in row])
 
 
-def _write_dict_csv(path, rows):
+def _dict_table(rows):
+    """(header, rows) of dict rows, in the key order of the first row."""
     header = list(rows[0]) if rows else []
-    _write_csv(path, header, [[row[key] for key in header] for row in rows])
+    return header, [[row[key] for key in header] for row in rows]
 
 
 PLOT_TEMPLATE = '''"""Generated plot script; reads the run's CSVs and saves PNGs."""
@@ -251,7 +247,7 @@ def _initial_state(config, grid, rng):
     return random_diagonal_state(rng, grid, amplitude=config.amplitude, kmax=config.kmax)
 
 
-def _run_simulate(config, grid, rng, out_dir):
+def _run_simulate(config, grid, rng):
     state = _initial_state(config, grid, rng)
     solver = HalfWaveSolver(grid)
     rows = [(0, 0.0, float(np.max(np.abs(state.u()))), float(np.max(np.abs(state.v()))))]
@@ -273,15 +269,10 @@ def _run_simulate(config, grid, rng, out_dir):
         checks.append(("finite_evolution", True, f"max |state| = {state_max_abs(state):.6e}"))
     except DivergedError as err:
         checks.append(("finite_evolution", False, str(err)))
-    _write_csv(
-        os.path.join(out_dir, "simulate.csv"),
-        ("step", "time", "max_abs_u", "max_abs_v"),
-        rows,
-    )
-    return checks, ["simulate.csv"]
+    return checks, {"simulate.csv": (("step", "time", "max_abs_u", "max_abs_v"), rows)}
 
 
-def _run_residuals(config, grid, rng, out_dir):
+def _run_residuals(config, grid, rng):
     state = _initial_state(config, grid, rng)
     solver = HalfWaveSolver(grid)
     checks = []
@@ -304,21 +295,11 @@ def _run_residuals(config, grid, rng, out_dir):
     except DivergedError as err:
         checks.append(("lorenz_constraint", False, str(err)))
         rows = []
-    _write_csv(
-        os.path.join(out_dir, "residuals.csv"),
-        ("time", "lorenz", "row_phi", "row_a1", "row_a2"),
-        rows,
-    )
-    return checks, ["residuals.csv"]
+    return checks, {"residuals.csv": (("time", "lorenz", "row_phi", "row_a1", "row_a2"), rows)}
 
 
-def _run_verify_null(config, grid, rng, out_dir):
+def _run_verify_null(config, grid, rng):
     env = null_sweep(rng, config.null_samples)
-    _write_csv(
-        os.path.join(out_dir, "null_envelopes.csv"),
-        ("quantity", "value"),
-        sorted(env.items()),
-    )
     thetas = 2.0 ** -np.arange(1, 12)
     path_rows = []
     worst_defect = 0.0
@@ -329,11 +310,6 @@ def _run_verify_null(config, grid, rng, out_dir):
         path_rows.extend(
             (index, base, theta, norm) for theta, norm in zip(thetas, norms)
         )
-    _write_csv(
-        os.path.join(out_dir, "null_paths.csv"),
-        ("path", "base_angle", "theta", "symbol_norm"),
-        path_rows,
-    )
     checks = [
         (
             "symbol_bound",
@@ -354,14 +330,15 @@ def _run_verify_null(config, grid, rng, out_dir):
             f"max symbol_norm/theta = {worst_defect:.6f}",
         ),
     ]
-    return checks, ["null_envelopes.csv", "null_paths.csv"]
+    return checks, {
+        "null_envelopes.csv": (("quantity", "value"), sorted(env.items())),
+        "null_paths.csv": (("path", "base_angle", "theta", "symbol_norm"), path_rows),
+    }
 
 
-def _run_verify_cone(config, grid, rng, out_dir):
+def _run_verify_cone(config, grid, rng):
     plus_rows = plus_kernel_sweep(rtol=config.rtol)
     minus_rows = minus_kernel_sweep(rtol=config.rtol)
-    _write_dict_csv(os.path.join(out_dir, "cone_plus.csv"), plus_rows)
-    _write_dict_csv(os.path.join(out_dir, "cone_minus.csv"), minus_rows)
     checks = [
         (
             f"{kind}_kernel_bound",
@@ -375,7 +352,7 @@ def _run_verify_cone(config, grid, rng, out_dir):
     ]
     split = max(row["split_defect"] for row in minus_rows)
     checks.append(("near_far_split", split <= 1e-6, f"max split defect {split:.3e}"))
-    return checks, ["cone_plus.csv", "cone_minus.csv"]
+    return checks, {"cone_plus.csv": _dict_table(plus_rows), "cone_minus.csv": _dict_table(minus_rows)}
 
 
 def _check_time_lattice(config):
@@ -397,7 +374,7 @@ def _check_time_lattice(config):
         )
 
 
-def _run_verify_norms(config, grid, rng, out_dir):
+def _run_verify_norms(config, grid, rng):
     _check_time_lattice(config)
     rows = []
     worst_defect = 0.0
@@ -419,11 +396,6 @@ def _run_verify_norms(config, grid, rng, out_dir):
         rows.append(
             (index, params.p, params.s, params.b, width, sign, lhs, rhs, defect, ratio, c_emb)
         )
-    _write_csv(
-        os.path.join(out_dir, "norms.csv"),
-        ("tuple", "p", "s", "b", "width", "sign", "lhs", "rhs", "defect", "embed_ratio", "c_emb"),
-        rows,
-    )
     checks = [
         (
             "factorization_identity",
@@ -432,10 +404,11 @@ def _run_verify_norms(config, grid, rng, out_dir):
         ),
         ("embedding_bound", worst_embed <= 1.0, f"max embed_ratio / c_emb {worst_embed:.6f}"),
     ]
-    return checks, ["norms.csv"]
+    header = ("tuple", "p", "s", "b", "width", "sign", "lhs", "rhs", "defect", "embed_ratio", "c_emb")
+    return checks, {"norms.csv": (header, rows)}
 
 
-def _run_scaling(config, grid, rng, out_dir):
+def _run_scaling(config, grid, rng):
     rows = []
     worst = 0.0
     for p, s in ((2.0, 1.0), (4.0 / 3.0, 3.0 / 4.0), (8.0 / 7.0, 7.0 / 8.0)):
@@ -445,16 +418,11 @@ def _run_scaling(config, grid, rng, out_dir):
             expected = s + 1.0 - 2.0 / p
             worst = max(worst, abs(measured - expected))
             rows.append((p, s, lam, measured, expected, measured - expected))
-    _write_csv(
-        os.path.join(out_dir, "scaling.csv"),
-        ("p", "s", "lam", "measured", "expected", "defect"),
-        rows,
-    )
     checks = [("scaling_exponent", worst <= 1e-3, f"max exponent defect {worst:.3e}")]
-    return checks, ["scaling.csv"]
+    return checks, {"scaling.csv": (("p", "s", "lam", "measured", "expected", "defect"), rows)}
 
 
-def _run_probe_bilinear(config, grid, rng, out_dir):
+def _run_probe_bilinear(config, grid, rng):
     try:
         check_active_modes(grid, config.probe_n_t, config.n_active)
     except ValueError as err:
@@ -468,7 +436,6 @@ def _run_probe_bilinear(config, grid, rng, out_dir):
         n_t=config.probe_n_t,
         t_window=config.t_window,
     )
-    _write_dict_csv(os.path.join(out_dir, "probe.csv"), rows)
     ratios = np.array([row["ratio"] for row in rows])
     checks = [
         (
@@ -477,7 +444,7 @@ def _run_probe_bilinear(config, grid, rng, out_dir):
             f"max ratio {ratios.max():.6f} over {ratios.size} probes",
         )
     ]
-    return checks, ["probe.csv"]
+    return checks, {"probe.csv": _dict_table(rows)}
 
 
 _RUNNERS = {
@@ -489,6 +456,7 @@ _RUNNERS = {
     "scaling": _run_scaling,
     "probe-bilinear": _run_probe_bilinear,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def _write_manifest(out_dir, config, checks, wall_time, status):
@@ -515,9 +483,14 @@ def run(config):
     grid = _grid_from(config)
     rng = np.random.default_rng(config.seed)
     out_dir = config.out
-    os.makedirs(out_dir, exist_ok=True)
-    checks, csv_names = _RUNNERS[config.command](config, grid, rng, out_dir)
-    _write_plot_script(out_dir, csv_names)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise UsageError(f"cannot use output directory {out_dir!r}: {err.strerror}") from None
+    checks, tables = _RUNNERS[config.command](config, grid, rng)
+    for name, (header, rows) in tables.items():
+        _write_csv(os.path.join(out_dir, name), header, rows)
+    _write_plot_script(out_dir, tables)
     status = 0 if all(passed for _, passed, _ in checks) else 1
     _write_manifest(out_dir, config, checks, time.perf_counter() - started, status)
     for name, passed, detail in checks:

@@ -73,8 +73,7 @@ class GridSpec:
     @cached_property
     def dealias_mask(self):
         """Two-thirds rule: keep modes with |k_index| <= N/3 in each axis."""
-        keep = np.abs(self.mode_index) <= self.n_points // 3
-        return np.logical_and.outer(keep, keep)
+        return band_mask(self, self.n_points // 3)
 
 
 def _check_field(field, grid):

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from monopole_lab import fl_norms
+from monopole_lab import fl_norms, gauge_fields, grid_spectral
 from monopole_lab.cone_quadrature import (
     BOUND_RTOL,
     FROZEN_C_MINUS,
@@ -74,15 +74,15 @@ def _random_frequencies(rng, n_samples):
     return mags[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
-def test_ac1_projection_identities():
-    started = time.perf_counter()
+def _ac1_defects():
+    """Defects of the projection identities, the symbol one measured against alpha . xi."""
     rng = np.random.default_rng(101)
     xi = _random_frequencies(rng, 10_000)
     mags = np.hypot(xi[:, 0], xi[:, 1])
     p_plus = projection_matrices(+1, xi)
     p_minus = projection_matrices(-1, xi)
     eye = np.eye(2)
-    defects = {
+    return {
         "idempotent": max(
             np.max(np.abs(p_plus @ p_plus - p_plus)),
             np.max(np.abs(p_minus @ p_minus - p_minus)),
@@ -97,6 +97,11 @@ def test_ac1_projection_identities():
             np.max(np.abs(BETA @ p_minus - p_plus @ BETA)),
         ),
     }
+
+
+def test_ac1_projection_identities():
+    started = time.perf_counter()
+    defects = _ac1_defects()
     elapsed = time.perf_counter() - started
     worst = max(defects.values())
     ok = worst <= 1e-12 and elapsed < 1.0
@@ -108,8 +113,15 @@ def test_ac1_projection_identities():
     ), defects
 
 
-def test_ac2_gauge_covariance_of_residuals():
-    started = time.perf_counter()
+def test_ac1_catches_a_scaled_symbol_in_the_projections(monkeypatch):
+    # the test module's alpha_dot stays exact; the projections are built
+    # from a symbol 1e-9 too large, which the symbol identity sees at |xi| ~ 100
+    monkeypatch.setattr(grid_spectral, "alpha_dot", lambda xi: alpha_dot(xi) * (1.0 + 1e-9))
+    assert max(_ac1_defects().values()) > 100 * 1e-12
+
+
+def _ac2_defects():
+    """Covariance defects of the residuals under a constant and a varying gauge map."""
     grid = GridSpec(64, 2.0 * np.pi, 1e-3)
     rng = np.random.default_rng(102)
     cfg = random_config(rng, grid, kmax=5)
@@ -130,8 +142,12 @@ def test_ac2_gauge_covariance_of_residuals():
         cfg.a0.shape,
     )
     zero = np.zeros_like(cfg.a0)
-    const_defect = covariance_defect(o_const, (zero, zero))
-    varying_defect = covariance_defect(*random_gauge_map(rng, grid))
+    return covariance_defect(o_const, (zero, zero)), covariance_defect(*random_gauge_map(rng, grid))
+
+
+def test_ac2_gauge_covariance_of_residuals():
+    started = time.perf_counter()
+    const_defect, varying_defect = _ac2_defects()
     elapsed = time.perf_counter() - started
     ok = const_defect <= 1e-12 and varying_defect <= 1e-8 and elapsed < 10.0
     assert _report(
@@ -140,6 +156,12 @@ def test_ac2_gauge_covariance_of_residuals():
         ok,
         f"constant {const_defect:.3e}, varying {varying_defect:.3e}, wall {elapsed:.1f}s",
     )
+
+
+def test_ac2_catches_an_anticommutator_bracket(monkeypatch):
+    monkeypatch.setattr(gauge_fields, "bracket", lambda x, y: x @ y + y @ x)
+    _, varying_defect = _ac2_defects()
+    assert varying_defect > 100 * 1e-8
 
 
 def test_ac3_lorenz_constraint_propagates():

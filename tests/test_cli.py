@@ -64,6 +64,15 @@ def test_missing_config_file_is_usage_error():
         load_config("/nonexistent/path.cfg")
 
 
+def test_unreadable_config_file_is_usage_error(tmp_path):
+    with pytest.raises(UsageError, match="cannot read config file"):
+        load_config(str(tmp_path))
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("amplitude = 0.2  # \xb5\n".encode("latin-1"))
+    with pytest.raises(UsageError, match="cannot read config file"):
+        load_config(str(path))
+
+
 def test_config_line_without_equals_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("steps\n", encoding="utf-8")
@@ -142,19 +151,42 @@ def test_verify_norms_runs_at_the_edges_of_the_time_lattice_rule(tmp_path, setti
     assert main(["verify-norms", "--out", str(tmp_path), "norm_tuples=3", setting]) == 0
 
 
-def _assert_usage_error_in_child(tmp_path, args, message):
+def _assert_exits_2_in_child(args, message, cwd=None):
     # in a child process under a timeout, so that a run that never ends
     # fails the test instead of hanging the suite
     src = os.path.dirname(os.path.dirname(os.path.abspath(monopole_lab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-m", "monopole_lab.cli", *args, "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=60, env=env,
+        [sys.executable, "-m", "monopole_lab.cli", *args],
+        capture_output=True, text=True, timeout=60, env=env, cwd=cwd,
     )
     assert done.returncode == 2
     assert message in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def _assert_usage_error_in_child(tmp_path, args, message):
+    _assert_exits_2_in_child([*args, "--out", str(tmp_path)], message)
     assert not (tmp_path / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "out_args, out",
+    [
+        (["--out", "taken"], "taken"),
+        (["out=taken"], "taken"),
+        (["--out", "taken/below"], "taken/below"),
+        (["--out", ""], ""),
+    ],
+    ids=["existing-file", "existing-file-override", "below-a-file", "empty"],
+)
+def test_unusable_output_directory_exits_2(tmp_path, out_args, out):
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    _assert_exits_2_in_child(
+        ["simulate", "n=16", *out_args], f"cannot use output directory {out!r}", cwd=tmp_path
+    )
+    assert (tmp_path / "taken").read_text(encoding="utf-8") == ""
+    assert not list(tmp_path.rglob("manifest.txt"))
 
 
 @pytest.mark.parametrize(
