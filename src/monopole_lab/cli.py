@@ -488,11 +488,14 @@ def run(config):
     except OSError as err:
         raise UsageError(f"cannot use output directory {out_dir!r}: {err.strerror}") from None
     checks, tables = _RUNNERS[config.command](config, grid, rng)
-    for name, (header, rows) in tables.items():
-        _write_csv(os.path.join(out_dir, name), header, rows)
-    _write_plot_script(out_dir, tables)
     status = 0 if all(passed for _, passed, _ in checks) else 1
-    _write_manifest(out_dir, config, checks, time.perf_counter() - started, status)
+    try:
+        for name, (header, rows) in tables.items():
+            _write_csv(os.path.join(out_dir, name), header, rows)
+        _write_plot_script(out_dir, tables)
+        _write_manifest(out_dir, config, checks, time.perf_counter() - started, status)
+    except OSError as err:
+        raise UsageError(f"cannot write {err.filename or out_dir!r}: {err.strerror}") from None
     for name, passed, detail in checks:
         print(f"[{config.command}] {name}: {'PASS' if passed else 'FAIL'} ({detail})")
     return status
@@ -514,7 +517,7 @@ def main(argv=None):
         for item in overrides:
             if item.startswith("-"):
                 raise UsageError(f"unrecognized argument {item!r}")
-        file_values = load_config(args.config) if args.config else {}
+        file_values = load_config(args.config) if args.config is not None else {}
         config = build_config(
             args.command,
             file_values=file_values,

@@ -33,7 +33,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DegenerateInputError
 
@@ -281,6 +280,9 @@ def minus_far_kernel_1d(probe):
         r1 = 0.5 * (mag * ch + tau)
         r2 = 0.5 * (mag * ch - tau)
         return (r1 * r2) ** (-1.0 - 0.5 * p) * (mag**2 * ch**2 - tau**2)
+
+    # imported on use: scipy.integrate also loads scipy.optimize, .sparse and .linalg
+    from scipy.integrate import quad
 
     integral, _ = quad(integrand, sigma0, np.inf)
     return integral / np.sqrt(abs(mag**2 - tau**2))

@@ -54,10 +54,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as _fft
-from scipy.integrate import cumulative_simpson
 
 from .errors import DivergedError
-from .gauge_fields import MonopoleConfig, TimeDerivatives, random_config
+from .gauge_fields import MonopoleConfig, random_config
 from .grid_spectral import (
     GridSpec,
     apply_projection,
@@ -143,16 +142,6 @@ def from_uv(grid, u, v):
     )
 
 
-def uv_rates_to_derivatives(du, dv):
-    """Map pair time derivatives back to the per-field derivatives."""
-    return TimeDerivatives(
-        dt_a0=0.5 * (du[0] + dv[0]),
-        dt_a1=0.5 * (du[0] - dv[0]),
-        dt_a2=0.5 * (du[1] - dv[1]),
-        dt_phi=0.5 * (du[1] + dv[1]),
-    )
-
-
 def pair_nonlinearity(u, v):
     """N(u, v) and N(v, u) evaluated pointwise, no dealiasing."""
     c_uv = 0.5 * (bracket(u[0], v[0]) + bracket(u[1], v[1]))
@@ -200,15 +189,10 @@ def diagonal_split(grid, u, v):
     return DiagonalState(grid, *comps)
 
 
-def state_from_config(cfg):
-    u, v = to_uv(cfg)
-    return diagonal_split(cfg.grid, u, v)
-
-
 def random_diagonal_state(rng, grid, n=2, amplitude=0.25, kmax=None):
     """Random band-limited initial data, already projected."""
     cfg = random_config(rng, grid, n=n, amplitude=amplitude, kmax=kmax)
-    return state_from_config(cfg)
+    return diagonal_split(grid, *to_uv(cfg))
 
 
 def _bracket(table, x, y, out, tmp):
@@ -489,7 +473,7 @@ class HalfWaveSolver:
         """
         u, v = state.u(), state.v()
         rates = pair_rhs(self.grid, u, v)
-        return from_uv(self.grid, u, v), uv_rates_to_derivatives(*rates)
+        return from_uv(self.grid, u, v), from_uv(self.grid, *rates)
 
     def evolve(self, state, n_steps, h=None):
         """Advance n_steps integrating-factor RK4 steps of size h (default grid.dt)."""
@@ -540,6 +524,9 @@ class HalfWaveSolver:
         E(-t_j) N(E(t_j) z_j) of the previous iterate z with a cumulative
         Simpson rule in the co-moving frame.  Returns the list of end states.
         """
+        # imported on use: scipy.integrate also loads scipy.optimize, .sparse and .linalg
+        from scipy.integrate import cumulative_simpson
+
         y0 = self._to_coeffs(state)
         times = np.linspace(0.0, t_final, n_steps + 1)
         # E(t) for u and v; reversing the stack gives E(-t)

@@ -273,13 +273,11 @@ def _active_modes(name, tilde, n_t, n):
 
 
 def _pair_angles(eta, zeta):
-    # angle between eta and zeta with zero vectors carrying zero weight,
-    # matching the continuum kernel where they are a null set
-    dots = np.sum(eta * zeta, axis=0)
-    norms = np.hypot(eta[0], eta[1]) * np.hypot(zeta[0], zeta[1])
-    cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0.0)
-    angles = np.arccos(np.clip(cos, -1.0, 1.0))
-    return np.where(norms > 0.0, angles, 0.0)
+    # angle between eta and zeta by arctan2, exactly 0 on collinear pairs;
+    # np.sum starts from +0.0, so a zero vector gets arctan2(0, +0) = 0,
+    # matching the continuum kernel where zero vectors are a null set
+    cross = eta[0] * zeta[1] - eta[1] * zeta[0]
+    return np.arctan2(np.abs(cross), np.sum(eta * zeta, axis=0))
 
 
 def key_bilinear_probe(phi_tilde, psi_tilde, grid, params, sign, t_window=2.0):

@@ -1,8 +1,9 @@
 """Gauge potential plus Higgs field on the periodic plane.
 
 A configuration holds the temporal potential a0, the spatial potentials
-a1, a2, and the Higgs field phi, all su(n)-valued on the grid.  Time
-derivatives are carried separately: they come either from the evolution
+a1, a2, and the Higgs field phi, all su(n)-valued on the grid.  Their time
+derivatives travel in a second MonopoleConfig, whose a0, a1, a2 and phi
+hold dt a0, dt a1, dt a2 and dt phi: they come either from the evolution
 right-hand side or from finite differencing a trajectory, and the residual
 operators below treat them as independent inputs.
 
@@ -34,7 +35,7 @@ from .lie import bracket, conjugate, dagger, random_lie, lie_expm, su_basis
 
 @dataclass
 class MonopoleConfig:
-    """Snapshot of the four su(n)-valued fields at one instant."""
+    """The four su(n)-valued fields at one instant, or their time derivatives."""
 
     grid: GridSpec
     a0: np.ndarray
@@ -57,16 +58,6 @@ class MonopoleConfig:
         return (self.a0, self.a1, self.a2, self.phi)
 
 
-@dataclass
-class TimeDerivatives:
-    """Time derivatives of the four fields, same layout as MonopoleConfig."""
-
-    dt_a0: np.ndarray
-    dt_a1: np.ndarray
-    dt_a2: np.ndarray
-    dt_phi: np.ndarray
-
-
 def spatial_gradient(field, grid):
     """Spectral (d1 f, d2 f) of a physical field (..., N, N, n, n)."""
     spec = fft_forward(field, grid)
@@ -84,7 +75,7 @@ def sup_norm(field):
 def covariant_derivative(cfg, dts):
     """(Dt phi, D1 phi, D2 phi) with Dt from dts and Dj spectral."""
     d1, d2 = spatial_gradient(cfg.phi, cfg.grid)
-    dt = dts.dt_phi + bracket(cfg.a0, cfg.phi)
+    dt = dts.phi + bracket(cfg.a0, cfg.phi)
     return dt, d1 + bracket(cfg.a1, cfg.phi), d2 + bracket(cfg.a2, cfg.phi)
 
 
@@ -93,8 +84,8 @@ def curvature(cfg, dts):
     d1a0, d2a0 = spatial_gradient(cfg.a0, cfg.grid)
     d1a2, _ = spatial_gradient(cfg.a2, cfg.grid)
     _, d2a1 = spatial_gradient(cfg.a1, cfg.grid)
-    f01 = dts.dt_a1 - d1a0 + bracket(cfg.a0, cfg.a1)
-    f02 = dts.dt_a2 - d2a0 + bracket(cfg.a0, cfg.a2)
+    f01 = dts.a1 - d1a0 + bracket(cfg.a0, cfg.a1)
+    f02 = dts.a2 - d2a0 + bracket(cfg.a0, cfg.a2)
     f12 = d1a2 - d2a1 + bracket(cfg.a1, cfg.a2)
     return f01, f02, f12
 
@@ -115,9 +106,9 @@ def monopole_residual(cfg, dts):
     a0, a1, a2, phi = cfg.fields()
     # one transform of the stacked fields; d1[k], d2[k] follow (a0, a1, a2, phi)
     d1, d2 = spatial_gradient(np.stack(cfg.fields()), cfg.grid)
-    r1 = dts.dt_phi + d1[2] - d2[1] - bracket(a2, a1) - bracket(phi, a0)
-    r2 = dts.dt_a1 - d1[0] - d2[3] - bracket(a1, a0) - bracket(a2, phi)
-    r3 = dts.dt_a2 - d2[0] + d1[3] - bracket(a2, a0) - bracket(phi, a1)
+    r1 = dts.phi + d1[2] - d2[1] - bracket(a2, a1) - bracket(phi, a0)
+    r2 = dts.a1 - d1[0] - d2[3] - bracket(a1, a0) - bracket(a2, phi)
+    r3 = dts.a2 - d2[0] + d1[3] - bracket(a2, a0) - bracket(phi, a1)
     return r1, r2, r3
 
 
@@ -132,7 +123,7 @@ def lorenz_residual(cfg, dts):
     """dt a0 - d1 a1 - d2 a2, the gauge constraint residual."""
     d1a1, _ = spatial_gradient(cfg.a1, cfg.grid)
     _, d2a2 = spatial_gradient(cfg.a2, cfg.grid)
-    return dts.dt_a0 - d1a1 - d2a2
+    return dts.a0 - d1a1 - d2a2
 
 
 def gauge_transform(o, do, cfg, dts):
@@ -156,13 +147,7 @@ def gauge_transform(o, do, cfg, dts):
         a2=conjugate(o, cfg.a2) - d2o @ oh,
         phi=conjugate(o, cfg.phi),
     )
-    new_dts = TimeDerivatives(
-        dt_a0=conjugate(o, dts.dt_a0),
-        dt_a1=conjugate(o, dts.dt_a1),
-        dt_a2=conjugate(o, dts.dt_a2),
-        dt_phi=conjugate(o, dts.dt_phi),
-    )
-    return new_cfg, new_dts
+    return new_cfg, MonopoleConfig(cfg.grid, *(conjugate(o, f) for f in dts.fields()))
 
 
 def random_config(rng, grid, n=2, amplitude=0.25, kmax=None):
@@ -174,12 +159,6 @@ def random_config(rng, grid, n=2, amplitude=0.25, kmax=None):
     coeffs = random_band_limited(rng, grid, kmax, shape=(4, dim), scale=amplitude)
     fields = np.einsum("faxy,aij->fxyij", coeffs, basis)
     return MonopoleConfig(grid=grid, a0=fields[0], a1=fields[1], a2=fields[2], phi=fields[3])
-
-
-def random_derivatives(rng, grid, kmax=None):
-    """Random band-limited su(2) TimeDerivatives, independent of any configuration."""
-    cfg = random_config(rng, grid, kmax=kmax)
-    return TimeDerivatives(dt_a0=cfg.a0, dt_a1=cfg.a1, dt_a2=cfg.a2, dt_phi=cfg.phi)
 
 
 def random_gauge_map(rng, grid):

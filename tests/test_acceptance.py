@@ -40,7 +40,6 @@ from monopole_lab.gauge_fields import (
     gauge_transform,
     monopole_residual,
     random_config,
-    random_derivatives,
     random_gauge_map,
     sup_norm,
 )
@@ -125,7 +124,7 @@ def _ac2_defects():
     grid = GridSpec(64, 2.0 * np.pi, 1e-3)
     rng = np.random.default_rng(102)
     cfg = random_config(rng, grid, kmax=5)
-    dts = random_derivatives(rng, grid, kmax=5)
+    dts = random_config(rng, grid, kmax=5)
 
     def covariance_defect(o, do):
         new_cfg, new_dts = gauge_transform(o, do, cfg, dts)

@@ -64,6 +64,12 @@ def test_missing_config_file_is_usage_error():
         load_config("/nonexistent/path.cfg")
 
 
+def test_empty_config_path_is_usage_error(tmp_path, capsys):
+    assert main(["simulate", "--config", "", "--out", str(tmp_path)]) == 2
+    assert "config file not found" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.txt").exists()
+
+
 def test_unreadable_config_file_is_usage_error(tmp_path):
     with pytest.raises(UsageError, match="cannot read config file"):
         load_config(str(tmp_path))
@@ -151,15 +157,25 @@ def test_verify_norms_runs_at_the_edges_of_the_time_lattice_rule(tmp_path, setti
     assert main(["verify-norms", "--out", str(tmp_path), "norm_tuples=3", setting]) == 0
 
 
-def _assert_exits_2_in_child(args, message, cwd=None):
+def _run_child(args, cwd=None):
     # in a child process under a timeout, so that a run that never ends
     # fails the test instead of hanging the suite
     src = os.path.dirname(os.path.dirname(os.path.abspath(monopole_lab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-m", "monopole_lab.cli", *args],
-        capture_output=True, text=True, timeout=60, env=env, cwd=cwd,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env, cwd=cwd
     )
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+    # scipy.integrate loads scipy.optimize, .sparse and .linalg, about half
+    # of every CLI start; only two test oracles need it
+    done = _run_child(["-c", "import monopole_lab.cli, sys; sys.exit('scipy.integrate' in sys.modules)"])
+    assert done.returncode == 0, done.stderr
+
+
+def _assert_exits_2_in_child(args, message, cwd=None):
+    done = _run_child(["-m", "monopole_lab.cli", *args], cwd=cwd)
     assert done.returncode == 2
     assert message in done.stderr
     assert "Traceback" not in done.stderr
@@ -187,6 +203,14 @@ def test_unusable_output_directory_exits_2(tmp_path, out_args, out):
     )
     assert (tmp_path / "taken").read_text(encoding="utf-8") == ""
     assert not list(tmp_path.rglob("manifest.txt"))
+
+
+def test_unwritable_csv_path_exits_2(tmp_path):
+    # the run does its work, then finds a directory where its CSV goes
+    (tmp_path / "simulate.csv").mkdir()
+    _assert_usage_error_in_child(
+        tmp_path, ["simulate", "n=16", "steps=10"], f"cannot write {str(tmp_path / 'simulate.csv')!r}"
+    )
 
 
 @pytest.mark.parametrize(

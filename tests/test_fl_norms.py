@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -250,13 +252,12 @@ def test_bilinear_point_mass_collapses_to_weighted_translate():
     psi = np.zeros((16, 16, 16))
     psi[3, 2, 15] = 0.7
     result = key_bilinear_probe(phi, psi, GRID, params, 1)
-    zeta = np.array([GRID.kx[2, 15], GRID.ky[2, 15]])
     expect = np.zeros_like(phi)
     for m, a, c in zip(*np.nonzero(phi)):
-        eta = np.array([GRID.kx[a, c], GRID.ky[a, c]])
-        theta = np.arccos(
-            np.clip(eta @ zeta / (np.hypot(*eta) * np.hypot(*zeta)), -1.0, 1.0)
-        )
+        # the exact angle to zeta = (2, -1) from the signed integer mode
+        # indices, which are the frequencies on this 2 pi grid
+        e1, e2 = (int(i) - 16 if i >= 8 else int(i) for i in (a, c))
+        theta = math.atan2(abs(-e1 - 2 * e2), 2 * e1 - e2)
         expect[m, a, c] = theta * phi[m, a, c] * 0.7
     cell = (np.pi / 2.0) * (2.0 * np.pi / GRID.length) ** 2
     shifted = np.roll(expect, (3, 2, 15), axis=(0, 1, 2)) * cell
@@ -271,6 +272,14 @@ def test_bilinear_collinear_support_vanishes():
     psi[1, 3, 0] = 0.9
     psi[5, 1, 0] = 0.2
     params = NormParams.from_eps(0.125)
+    assert key_bilinear_probe(phi, psi, GRID, params, 1).lhs == 0.0
+    assert key_bilinear_probe(phi, psi, GRID, params, -1).lhs > 0.0
+    # off the axes, eta = (4, -2) and zeta = (2, -1) are collinear too; an
+    # arccos of their rounded cosine would weight this pair 2e-8
+    phi = np.zeros((16, 16, 16))
+    psi = np.zeros((16, 16, 16))
+    phi[1, 4, 14] = 0.4
+    psi[2, 2, 15] = 0.6
     assert key_bilinear_probe(phi, psi, GRID, params, 1).lhs == 0.0
     assert key_bilinear_probe(phi, psi, GRID, params, -1).lhs > 0.0
 
@@ -299,6 +308,9 @@ def test_bilinear_probe_validation():
     dc[1, 1, 0] = 0.5
     result = key_bilinear_probe(dc, dc, GRID, params, 1)
     assert np.isfinite(result.lhs)
+    # with sign -1 only the pair of the two (1, 0) modes, at angle pi, is weighted
+    result = key_bilinear_probe(dc, dc, GRID, params, -1)
+    assert np.count_nonzero(result.transform) == 1
 
 
 def test_random_positive_coeffs_layout():

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from monopole_lab.gauge_fields import (
     MonopoleConfig,
-    TimeDerivatives,
     covariant_derivative,
     curvature,
     gauge_transform,
@@ -13,7 +12,6 @@ from monopole_lab.gauge_fields import (
     monopole_residual,
     monopole_residual_via_dual,
     random_config,
-    random_derivatives,
     random_gauge_map,
     spatial_gradient,
     sup_norm,
@@ -24,7 +22,7 @@ from monopole_lab.lie import conjugate, dagger, su_basis
 
 def zero_derivatives(cfg):
     z = np.zeros_like(cfg.a0)
-    return TimeDerivatives(z, z, z, z)
+    return MonopoleConfig(cfg.grid, z, z, z, z)
 
 
 def test_config_validation(grid):
@@ -63,10 +61,10 @@ def test_covariant_derivative_vacuum(rng, grid):
         grid=grid, a0=np.zeros_like(cfg.a0), a1=np.zeros_like(cfg.a0),
         a2=np.zeros_like(cfg.a0), phi=cfg.phi,
     )
-    dts = random_derivatives(rng, grid)
+    dts = random_config(rng, grid)
     dt, d1, d2 = covariant_derivative(vac, dts)
     g1, g2 = spatial_gradient(cfg.phi, grid)
-    assert_allclose(dt, dts.dt_phi, atol=0)
+    assert_allclose(dt, dts.phi, atol=0)
     assert_allclose(d1, g1, atol=1e-14)
     assert_allclose(d2, g2, atol=1e-14)
 
@@ -98,7 +96,7 @@ def test_exact_traveling_wave_has_zero_residual(grid):
     wave = np.broadcast_to(np.cos(x) * e3, (n, n, 2, 2))
     dwave = np.broadcast_to(np.sin(x) * e3, (n, n, 2, 2))
     cfg = MonopoleConfig(grid=grid, a0=zero, a1=zero, a2=wave, phi=wave)
-    dts = TimeDerivatives(dt_a0=zero, dt_a1=zero, dt_a2=dwave, dt_phi=dwave)
+    dts = MonopoleConfig(grid, zero, zero, dwave, dwave)
     for r in monopole_residual(cfg, dts):
         assert sup_norm(r) < 1e-13
     assert sup_norm(lorenz_residual(cfg, dts)) < 1e-13
@@ -106,7 +104,7 @@ def test_exact_traveling_wave_has_zero_residual(grid):
 
 def test_residual_two_paths_agree(rng, grid):
     cfg = random_config(rng, grid)
-    dts = random_derivatives(rng, grid)
+    dts = random_config(rng, grid)
     direct = monopole_residual(cfg, dts)
     dual = monopole_residual_via_dual(cfg, dts)
     for a, b in zip(direct, dual):
@@ -115,7 +113,7 @@ def test_residual_two_paths_agree(rng, grid):
 
 def test_hodge_dual_components(rng, grid):
     cfg = random_config(rng, grid)
-    dts = random_derivatives(rng, grid)
+    dts = random_config(rng, grid)
     dt, d1, d2 = covariant_derivative(cfg, dts)
     h01, h02, h12 = hodge_dual_covariant(cfg, dts)
     assert_allclose(h01, d2, atol=0)
@@ -137,7 +135,7 @@ def test_lorenz_residual_single_mode(grid):
 
 def test_residual_covariance_constant_gauge_map(rng, grid):
     cfg = random_config(rng, grid)
-    dts = random_derivatives(rng, grid)
+    dts = random_config(rng, grid)
     theta = 0.7
     o_single = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]],
                         dtype=complex)
@@ -154,7 +152,7 @@ def test_residual_covariance_constant_gauge_map(rng, grid):
 def test_residual_covariance_varying_gauge_map(rng):
     grid = GridSpec(64, 2 * np.pi, 1e-3)
     cfg = random_config(rng, grid, kmax=5)
-    dts = random_derivatives(rng, grid, kmax=5)
+    dts = random_config(rng, grid, kmax=5)
     o, do = random_gauge_map(rng, grid)
     new_cfg, new_dts = gauge_transform(o, do, cfg, dts)
     before = monopole_residual(cfg, dts)
@@ -165,7 +163,7 @@ def test_residual_covariance_varying_gauge_map(rng):
 
 def test_gauge_transform_rejects_non_unitary(rng, grid):
     cfg = random_config(rng, grid)
-    dts = random_derivatives(rng, grid)
+    dts = random_config(rng, grid)
     o = np.broadcast_to(np.diag([2.0, 0.5]).astype(complex), cfg.a0.shape)
     do = (np.zeros_like(cfg.a0), np.zeros_like(cfg.a0))
     with pytest.raises(ValueError):
