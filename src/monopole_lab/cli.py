@@ -104,9 +104,9 @@ def load_config(path):
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}") from None
+        raise UsageError(f"config file not found: {path!r}") from None
     except (OSError, UnicodeDecodeError) as err:
-        raise UsageError(f"cannot read config file {path}: {err}") from None
+        raise UsageError(f"cannot read config file {path!r}: {err}") from None
     values = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
@@ -268,6 +268,7 @@ def _run_simulate(config, grid, rng):
             )
         checks.append(("finite_evolution", True, f"max |state| = {state_max_abs(state):.6e}"))
     except DivergedError as err:
+        err.step += step  # the steps of the chunks before the one that diverged
         checks.append(("finite_evolution", False, str(err)))
     return checks, {"simulate.csv": (("step", "time", "max_abs_u", "max_abs_v"), rows)}
 
@@ -487,7 +488,10 @@ def run(config):
         os.makedirs(out_dir, exist_ok=True)
     except OSError as err:
         raise UsageError(f"cannot use output directory {out_dir!r}: {err.strerror}") from None
-    checks, tables = _RUNNERS[config.command](config, grid, rng)
+    try:
+        checks, tables = _RUNNERS[config.command](config, grid, rng)
+    except MemoryError as err:
+        raise UsageError(f"{config.command} does not fit in memory: {err}") from None
     status = 0 if all(passed for _, passed, _ in checks) else 1
     try:
         for name, (header, rows) in tables.items():

@@ -229,7 +229,7 @@ def minus_kernel(probe, rtol=1e-6):
     the far part obeys the tail bound whose normalized form is
     far_bound_ratio.  An unrestricted quadrature cross-checks the split.
     Returns the CSV columns value, near, far, near_closed_form_ratio,
-    far_bound_ratio and split_defect.
+    far_bound_ratio, split_defect, quadrature_points and est_error.
     """
     xi = probe.xi_vec
     mag, tau, p = probe.xi_mag, probe.tau, probe.p
@@ -252,6 +252,8 @@ def minus_kernel(probe, rtol=1e-6):
         "near_closed_form_ratio": near.value * prefactor,
         "far_bound_ratio": prefactor * far.value / bracket ** (0.5 * (p - 1.0)),
         "split_defect": abs(near.value + far.value - total.value) / total.value,
+        "quadrature_points": near.quadrature_points + far.quadrature_points + total.quadrature_points,
+        "est_error": near.est_error + far.est_error,
     }
 
 

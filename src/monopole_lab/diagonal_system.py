@@ -29,8 +29,10 @@ The entry accepts only pairs that equal the basis sum of their
 coefficients (anti-Hermitian and traceless), have empty Nyquist lines,
 and whose plus components are the basis sum of (c + i R c) / 2; every
 stepping operation enters there and raises ValueError, naming the failed
-test, for any other state.  The exit builds u_pm and v_pm as the basis
-sums of (c pm i R c) / 2.  The exact linear propagator is the
+test, for any other state.  The exit builds the plus halves as the basis
+sums of (c + i R c) / 2 and the minus halves as the rest; diagonal_split,
+the oracle, splits the same way with grid_spectral.apply_projection, and
+nowhere else are half waves split.  The exact linear propagator is the
 per-mode 2 x 2 matrix
     exp(pm i h alpha . xi) = cos(h|xi|) pm i sin(h|xi|) alpha . xihat
 acting on the pair index; since E(h) = E(h/2)^2 a step applies only the
@@ -57,12 +59,7 @@ import scipy.fft as _fft
 
 from .errors import DivergedError
 from .gauge_fields import MonopoleConfig, random_config
-from .grid_spectral import (
-    GridSpec,
-    apply_projection,
-    fft_forward,
-    fft_inverse,
-)
+from .grid_spectral import GridSpec, apply_projection, fft_forward, fft_inverse
 from .lie import bracket, coefficients, from_coefficients, structure_constants, su_basis
 
 # a step whose largest coefficient exceeds this raises DivergedError
@@ -75,7 +72,6 @@ class DiagonalState:
 
     Each component is a pair of matrix fields with shape (2, N, N, n, n);
     u_plus + u_minus and v_plus + v_minus recover the su(n)-valued pairs.
-    The same container is used for time derivatives of a state.
     """
 
     grid: GridSpec
@@ -178,14 +174,11 @@ def pair_rhs(grid, u, v):
 
 
 def diagonal_split(grid, u, v):
-    """Project the pairs onto the two half waves and return the state."""
-    uhat = fft_forward(u, grid)
-    vhat = fft_forward(v, grid)
+    """The state of half waves: P+ of each pair, and the rest as its P- (P+ + P- = I)."""
     comps = []
-    for pair_hat in (uhat, vhat):
-        for sign in (+1, -1):
-            proj = apply_projection(sign, pair_hat, grid)
-            comps.append(fft_inverse(proj, grid))
+    for pair in (u, v):
+        plus = fft_inverse(apply_projection(+1, fft_forward(pair, grid), grid), grid)
+        comps += [plus, pair - plus]
     return DiagonalState(grid, *comps)
 
 
@@ -213,10 +206,12 @@ def _require(test, what, defect, tol):
         raise ValueError(f"{test} test failed: {what} is off by {defect:.3g} (tolerance {tol:.3g})")
 
 
-def _check_finite(y, t):
+def _check_finite(y, step, h):
     peak = float(np.max(np.abs(y)))
     if not np.isfinite(peak) or peak > _DIVERGENCE_LIMIT:
-        raise DivergedError(f"solution blew up at t={t:.6g} (max coefficient {peak:.3g})")
+        w, i, a = np.unravel_index(np.argmax(np.abs(y)), y.shape)[:3]
+        where = f"the {'uv'[w]} pair, component {i}, basis coefficient {a} (max coefficient {peak:.3g})"
+        raise DivergedError(step, h, where)
 
 
 class HalfWaveSolver:
@@ -460,11 +455,6 @@ class HalfWaveSolver:
 
     # public operations --------------------------------------------------------
 
-    def rhs(self, state):
-        """Time derivative of every projected component, as a DiagonalState."""
-        y = self._to_coeffs(state)
-        return self._to_state(self._rates(y, self._nonlinearity(y)))
-
     def config_with_derivatives(self, state):
         """Bridge to the residual operators: fields plus evolution rates.
 
@@ -481,7 +471,7 @@ class HalfWaveSolver:
         y = self._to_coeffs(state)
         for i in range(n_steps):
             y = self._step(y, h)
-            _check_finite(y, (i + 1) * h)
+            _check_finite(y, i + 1, h)
         return self._to_state(y)
 
     def evolve_with_residuals(self, state, n_steps, h=None, sample_every=1, rows=False):
@@ -507,7 +497,7 @@ class HalfWaveSolver:
                 lorenz_vals.append(self._lorenz_sup(y, k1))
             if i < n_steps:
                 y = self._step(y, h, k1)
-                _check_finite(y, (i + 1) * h)
+                _check_finite(y, i + 1, h)
         record = ResidualRecord(
             times=np.array(times),
             lorenz=np.array(lorenz_vals),

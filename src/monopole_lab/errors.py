@@ -7,4 +7,11 @@ class DegenerateInputError(ValueError):
 
 
 class DivergedError(RuntimeError):
-    """Raised when time integration produces non-finite values."""
+    """Raised when time integration produces non-finite values: at step (of the
+    call that diverged, each of size h), in the place that detail names."""
+
+    def __init__(self, step, h, detail):
+        self.step, self.h, self.detail = step, h, detail
+
+    def __str__(self):
+        return f"solution blew up at step {self.step}, t={self.step * self.h:.6g}: {self.detail}"

@@ -104,11 +104,14 @@ def monopole_residual(cfg, dts):
         dt a2 - d2 a0 + d1 phi = [a2, a0] + [phi, a1]
     """
     a0, a1, a2, phi = cfg.fields()
-    # one transform of the stacked fields; d1[k], d2[k] follow (a0, a1, a2, phi)
-    d1, d2 = spatial_gradient(np.stack(cfg.fields()), cfg.grid)
-    r1 = dts.phi + d1[2] - d2[1] - bracket(a2, a1) - bracket(phi, a0)
-    r2 = dts.a1 - d1[0] - d2[3] - bracket(a1, a0) - bracket(a2, phi)
-    r3 = dts.a2 - d2[0] + d1[3] - bracket(a2, a0) - bracket(phi, a1)
+    grid = cfg.grid
+    # one transform of the stacked fields, and back only the six derivatives the rows read
+    spec = fft_forward(np.stack(cfg.fields()), grid)
+    d1a0, d1a2, d1phi = fft_inverse((1j * grid.kx)[..., None, None] * spec[[0, 2, 3]], grid)
+    d2a0, d2a1, d2phi = fft_inverse((1j * grid.ky)[..., None, None] * spec[[0, 1, 3]], grid)
+    r1 = dts.phi + d1a2 - d2a1 - bracket(a2, a1) - bracket(phi, a0)
+    r2 = dts.a1 - d1a0 - d2phi - bracket(a1, a0) - bracket(a2, phi)
+    r3 = dts.a2 - d2a0 + d1phi - bracket(a2, a0) - bracket(phi, a1)
     return r1, r2, r3
 
 

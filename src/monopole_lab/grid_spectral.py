@@ -9,6 +9,8 @@ The symbol of the spatial operator is alpha . xi with the constant matrices
 ALPHA1, ALPHA2 below; BETA intertwines the two wave projections.  The
 projections P(+-, xi) = (1/2)(I +- alpha . xi/|xi|) diagonalize alpha . xi
 into |xi| P(+) - |xi| P(-).  At xi = 0 both projections are defined as I/2.
+projection_matrices is their one table; apply_projection applies it on the
+grid, for diagonal_split, which splits half waves outside the engine.
 """
 
 from dataclasses import dataclass
@@ -126,29 +128,14 @@ def projection_matrices(sign, xi):
     return np.where(mag[..., None, None] == 0.0, 0.5 * np.eye(2, dtype=np.complex128), out)
 
 
-def projection_multipliers(sign, grid):
-    """Entries of P(sign, xi) tabulated on the grid; shape (2, 2, N, N)."""
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    mag = grid.kabs
-    safe = np.where(mag == 0.0, 1.0, mag)
-    h1 = np.where(mag == 0.0, 0.0, grid.kx / safe)
-    h2 = np.where(mag == 0.0, 0.0, grid.ky / safe)
-    p = np.empty((2, 2, grid.n_points, grid.n_points), dtype=np.complex128)
-    p[0, 0] = 0.5 * (1.0 + sign * h1)
-    p[1, 1] = 0.5 * (1.0 - sign * h1)
-    p[0, 1] = 0.5 * sign * h2
-    p[1, 0] = 0.5 * sign * h2
-    return p
-
-
 def apply_projection(sign, pair, grid):
     """Apply the wave projection modewise to a Fourier pair (2, N, N, n, n)."""
     pair = np.asarray(pair)
     if pair.ndim != 5 or pair.shape[0] != 2:
         raise ValueError(f"pair must have shape (2, N, N, n, n), got {pair.shape}")
     _check_field(pair[0], grid)
-    w = projection_multipliers(sign, grid)[..., None, None]
+    xi = np.stack([grid.kx, grid.ky], axis=-1)
+    w = np.moveaxis(projection_matrices(sign, xi), (-2, -1), (0, 1))[..., None, None]
     out = np.empty_like(pair)
     out[0] = w[0, 0] * pair[0] + w[0, 1] * pair[1]
     out[1] = w[1, 0] * pair[0] + w[1, 1] * pair[1]

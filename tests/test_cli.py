@@ -66,7 +66,7 @@ def test_missing_config_file_is_usage_error():
 
 def test_empty_config_path_is_usage_error(tmp_path, capsys):
     assert main(["simulate", "--config", "", "--out", str(tmp_path)]) == 2
-    assert "config file not found" in capsys.readouterr().err
+    assert "config file not found: ''" in capsys.readouterr().err
     assert not (tmp_path / "manifest.txt").exists()
 
 
@@ -255,6 +255,32 @@ def test_probe_more_active_modes_than_band_slots_exits_2(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "n=16777216"],
+        ["residuals", "n=16777216"],
+        ["scaling", "n=16777216"],
+        ["verify-null", "null_samples=10000000000000000"],
+        ["verify-norms", "n_t=10000000000000000", "norm_tuples=1"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_a_configuration_too_large_for_memory_exits_2(tmp_path, args):
+    # each run asks for one array larger than the 128 TiB user address space,
+    # which is refused at once; never use a size that could fit, since the
+    # kernel may kill such a run instead
+    _assert_usage_error_in_child(tmp_path, args, f"{args[0]} does not fit in memory: Unable to allocate")
+
+
+@pytest.mark.parametrize("command", ["simulate", "residuals"])
+def test_a_blow_up_names_its_step_in_the_run_and_its_component(tmp_path, capsys, command):
+    # simulate evolves in chunks of sample_every steps, residuals in one call;
+    # both count the steps from the start of the run
+    assert main([command, "--out", str(tmp_path), "amplitude=350", "sample_every=2"]) == 1
+    printed = capsys.readouterr().out
+    assert "solution blew up at step 5, t=0.005: the v pair, component 1, basis coefficient 2" in printed
+
 
 @pytest.mark.parametrize("command", ["simulate", "residuals"])
 def test_data_on_the_nyquist_lines_exits_2(tmp_path, command):
@@ -370,6 +396,17 @@ def test_verify_cone_default_run(tmp_path, capsys):
     assert all(v > 0 for v in values)
     manifest = read_manifest(out / "manifest.txt")
     assert manifest["status"] == "0"
+
+
+def test_cone_minus_csv_reports_quadrature_effort(tmp_path):
+    out = tmp_path / "run"
+    assert main(["verify-cone", "--out", str(out)]) == 0
+    header, *rows = read_csv(out / "cone_minus.csv")
+    assert header[-2:] == ["quadrature_points", "est_error"]
+    for row in rows:
+        # the near, far and unrestricted quadratures each start at 2048 points
+        assert int(row[-2]) >= 3 * 2048
+        assert 0.0 <= float(row[-1]) < np.inf
 
 
 def test_verify_cone_fails_with_a_scaled_quadrature(tmp_path, capsys, scaled_quadrature):

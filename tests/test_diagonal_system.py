@@ -36,17 +36,12 @@ from monopole_lab.lie import dagger, su_basis
 from reference_stepper import reference_evolve
 
 
-def _fields_and_rates(state, rates):
-    """Configuration and per-field time derivatives of a state and its rates."""
-    return from_uv(state.grid, state.u(), state.v()), from_uv(state.grid, rates.u(), rates.v())
-
-
 def _flow(solver, state, n_steps):
-    """(state, engine rates) at each of n_steps + 1 instants one step apart."""
+    """The states at n_steps + 1 instants one step apart."""
     for i in range(n_steps + 1):
         if i:
             state = solver.evolve(state, 1)
-        yield state, solver.rhs(state)
+        yield state
 
 
 def test_to_uv_round_trip(rng, grid):
@@ -78,16 +73,6 @@ def test_state_validation(grid):
     su3 = np.zeros((2, n, n, 3, 3))
     with pytest.raises(ValueError, match="shapes disagree"):
         DiagonalState(grid, good, good, su3, su3)
-
-
-def test_rhs_projected_and_direct_agree(rng, grid):
-    state = random_diagonal_state(rng, grid, amplitude=0.5)
-    solver = HalfWaveSolver(grid)
-    rates = solver.rhs(state)
-    du, dv = pair_rhs(grid, state.u(), state.v())
-    scale = max(np.max(np.abs(du)), 1.0)
-    assert np.max(np.abs(rates.u() - du)) < 1e-12 * scale
-    assert np.max(np.abs(rates.v() - dv)) < 1e-12 * scale
 
 
 def test_free_flow_phases_single_mode(grid):
@@ -201,8 +186,8 @@ def test_lorenz_residual_vanishes_along_flow(rng, grid):
     state = random_diagonal_state(rng, grid, amplitude=0.4)
     solver = HalfWaveSolver(grid)
     worst = max(
-        sup_norm(lorenz_residual(*_fields_and_rates(s, rates)))
-        for s, rates in _flow(solver, state, 10)
+        sup_norm(lorenz_residual(*solver.config_with_derivatives(s)))
+        for s in _flow(solver, state, 10)
     )
     assert worst < 1e-12
 
@@ -231,8 +216,8 @@ def test_monopole_residual_in_band_vanishes_along_flow(rng, grid):
     state = random_diagonal_state(rng, grid, amplitude=0.4)
     solver = HalfWaveSolver(grid)
     worst = 0.0
-    for s, rates in _flow(solver, state, 10):
-        rows = np.stack(monopole_residual(*_fields_and_rates(s, rates)))
+    for s in _flow(solver, state, 10):
+        rows = np.stack(monopole_residual(*solver.config_with_derivatives(s)))
         in_band = fft_forward(rows, grid) * grid.dealias_mask[..., None, None]
         worst = max(worst, float(np.max(np.abs(in_band))))
     assert worst < 1e-11
@@ -242,7 +227,7 @@ def test_rhs_matches_finite_difference_in_time(rng):
     grid = GridSpec(16, 2 * np.pi, 1e-3)
     state = random_diagonal_state(rng, grid, amplitude=0.4)
     solver = HalfWaveSolver(grid)
-    exact = solver.rhs(state).u()
+    exact = pair_rhs(grid, state.u(), state.v())[0]
 
     def fd_error(h):
         plus = solver.evolve(state, 1, h=h)
@@ -258,7 +243,7 @@ def test_evolve_raises_on_divergence(rng, grid):
     # one step of this data reaches a coefficient near 1e22, far past the
     # solver's limit of 1e6
     state = random_diagonal_state(rng, grid, amplitude=1e4)
-    with pytest.raises(DivergedError):
+    with pytest.raises(DivergedError, match="step 1, t=0.001"):
         HalfWaveSolver(grid).evolve(state, 1)
 
 
@@ -359,7 +344,6 @@ def test_fast_engine_rejects_inconsistent_states(rng):
     entries = (
         lambda s: solver.evolve(s, 3),
         lambda s: solver.evolve_with_residuals(s, 3),
-        solver.rhs,
     )
     for bad, test in refused:
         for entry in entries:
@@ -394,21 +378,37 @@ def test_fft_workers_from_scipy_do_not_change_the_evolution(rng, grid32):
 def _record_and_operator_rows(state, n_steps):
     """evolve_with_residuals' record and final state, the final state of
     single evolve steps, and the Lorenz and row sups of the residual
-    operators on those steps' rhs rates."""
+    operators on those steps' pair_rhs rates."""
     solver = HalfWaveSolver(state.grid)
     final, record = solver.evolve_with_residuals(state, n_steps, rows=True)
     lorenz_ref, rows_ref = [], []
-    for s, rates in _flow(solver, state, n_steps):
-        cfg, dts = _fields_and_rates(s, rates)
+    for s in _flow(solver, state, n_steps):
+        cfg, dts = solver.config_with_derivatives(s)
         lorenz_ref.append(sup_norm(lorenz_residual(cfg, dts)))
         rows_ref.append([sup_norm(r) for r in monopole_residual(cfg, dts)])
     return record, final, s, np.array(lorenz_ref), np.array(rows_ref)
+
+
+def _rate_gap(state, h=1e-2):
+    """Largest gap on u and v between the engine's central difference in time,
+    (evolve(h) - evolve(-h)) / 2h, and the pair_rhs rates, relative to the
+    largest of those rates."""
+    solver = HalfWaveSolver(state.grid)
+    ahead, behind = solver.evolve(state, 1, h=h), solver.evolve(state, 1, h=-h)
+    du, dv = pair_rhs(state.grid, state.u(), state.v())
+    gap = max(
+        np.max(np.abs((ahead.u() - behind.u()) / (2 * h) - du)),
+        np.max(np.abs((ahead.v() - behind.v()) / (2 * h) - dv)),
+    )
+    return gap / max(np.max(np.abs(du)), np.max(np.abs(dv)))
 
 
 def _check_residual_record_against_operators(rng, n):
     grid = GridSpec(16, 2 * np.pi, 1e-3)
     state = random_diagonal_state(rng, grid, n=n, amplitude=0.4)
     record, final, stepped, lorenz_ref, rows_ref = _record_and_operator_rows(state, 8)
+    # the engine's rates are the oracle's to the O(h^2) of the difference
+    assert _rate_gap(state) < 1e-3
     assert state_distance(final, stepped) < 1e-13
     assert record.times.shape == (9,)
     assert record.rows.shape == (9, 3)
@@ -430,15 +430,14 @@ def test_residual_record_matches_operator_evaluation_su3(rng):
 
 
 def test_residual_record_departs_from_the_operators_with_a_wrong_bracket(rng, flipped_structure_constant):
-    # the record's rows equal the operators' only while the engine's
-    # brackets are right: flip one structure constant and the rhs rates no
-    # longer solve the rows, while the dealias drop stays small; the same
-    # flip opens the gap to the reference stepper, in su(2) and in su(3)
+    # flip one structure constant of the engine: its rates leave the
+    # pair_rhs oracle's, and the gap to the reference stepper opens, in su(2)
+    # and in su(3); the record's rows are Frobenius norms, which in su(2)
+    # cannot see the sign of one bracket component, so they are not compared
     for n in (2, 3):
         grid = GridSpec(16, 2 * np.pi, 1e-3)
         state = random_diagonal_state(rng, grid, n=n, amplitude=0.4)
-        record, _, _, _, rows_ref = _record_and_operator_rows(state, 8)
-        assert np.max(np.abs(record.rows - rows_ref)) > 1e-3 * np.max(rows_ref)
+        assert _rate_gap(state) > 0.1
         gap, scale = _reference_gap(rng, n)
         assert gap > 1e-3 * scale
 

@@ -16,7 +16,6 @@ from monopole_lab.grid_spectral import (
     fft_forward,
     fft_inverse,
     projection_matrices,
-    projection_multipliers,
     random_band_limited,
 )
 
@@ -154,13 +153,6 @@ def test_apply_projection_idempotent_orthogonal(rng, grid):
     plus = apply_projection(+1, pair, grid)
     assert_allclose(apply_projection(+1, plus, grid), plus, atol=1e-12)
     assert np.max(np.abs(apply_projection(-1, plus, grid))) < 1e-12
-
-
-def test_projection_multipliers_agree_with_matrices(grid):
-    p = projection_multipliers(-1, grid)
-    xi = np.stack([grid.kx, grid.ky], axis=-1)
-    ref = projection_matrices(-1, xi)
-    assert_allclose(np.moveaxis(p, (0, 1), (2, 3)), ref, atol=1e-14)
 
 
 def test_dealias_mask_and_band_mask(grid):
