@@ -478,20 +478,40 @@ def _write_manifest(out_dir, config, checks, wall_time, status):
         fh.write(f"status = {status}\n")
 
 
+def _make_directories(path):
+    """os.makedirs(path, exist_ok=True), returning the directories it made, deepest first."""
+    head = os.path.dirname(path)
+    made = _make_directories(head) if head and not os.path.exists(head) else []
+    try:
+        os.mkdir(path)
+    except FileExistsError:
+        if not os.path.isdir(path):
+            raise
+        return made
+    return [path, *made]
+
+
 def run(config):
-    """Execute one command; returns the exit status and writes artifacts."""
+    """Execute one command; returns the exit status and writes artifacts.
+
+    A run that its runner refuses removes the directories it made.
+    """
     started = time.perf_counter()
     grid = _grid_from(config)
     rng = np.random.default_rng(config.seed)
     out_dir = config.out
     try:
-        os.makedirs(out_dir, exist_ok=True)
+        made = _make_directories(out_dir)
     except OSError as err:
         raise UsageError(f"cannot use output directory {out_dir!r}: {err.strerror}") from None
     try:
         checks, tables = _RUNNERS[config.command](config, grid, rng)
-    except MemoryError as err:
-        raise UsageError(f"{config.command} does not fit in memory: {err}") from None
+    except (UsageError, MemoryError) as err:
+        for path in made:
+            os.rmdir(path)
+        if isinstance(err, MemoryError):
+            raise UsageError(f"{config.command} does not fit in memory: {err}") from None
+        raise
     status = 0 if all(passed for _, passed, _ in checks) else 1
     try:
         for name, (header, rows) in tables.items():

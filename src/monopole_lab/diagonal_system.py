@@ -474,7 +474,7 @@ class HalfWaveSolver:
             _check_finite(y, i + 1, h)
         return self._to_state(y)
 
-    def evolve_with_residuals(self, state, n_steps, h=None, sample_every=1, rows=False):
+    def evolve_with_residuals(self, state, n_steps, sample_every=1, rows=False):
         """Advance while recording residual sup norms from the evolution rates.
 
         Returns (final_state, ResidualRecord).  The gauge constraint
@@ -483,7 +483,7 @@ class HalfWaveSolver:
         of the brackets that dealiasing drops, are recorded as well.  Each
         sample's stage-one nonlinearity is reused by the step that follows.
         """
-        h = self.grid.dt if h is None else h
+        h = self.grid.dt
         y = self._to_coeffs(state)
         times, lorenz_vals, row_vals = [], [], []
         for i in range(n_steps + 1):

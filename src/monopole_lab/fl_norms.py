@@ -49,7 +49,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from .errors import DegenerateInputError
-from .grid_spectral import GridSpec, dilate
+from .grid_spectral import dilate
 
 MAX_ACTIVE_MODES = 4096
 _TAU_PAD = 4

@@ -1,6 +1,7 @@
 import ast
 import csv
 import os
+import signal
 import subprocess
 import sys
 
@@ -18,6 +19,40 @@ from monopole_lab.cli import (
     main,
     parse_overrides,
 )
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """Fail a test that runs longer than 60 s, so that a run that never ends cannot hang the suite.
+
+    The handler raises pytest's Failed, a BaseException. A TimeoutError would be an
+    OSError, which cli.run turns into exit status 2, so a hang during a write would
+    pass as a refusal.
+    """
+
+    def expire(signum, frame):
+        pytest.fail("deadline expired: the test ran longer than it may")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_refused(capsys, args, message, out):
+    # an exception that escapes main fails the test
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not list(out.rglob("manifest.txt"))
+
+
+def _assert_usage_error(tmp_path, capsys, args, message):
+    # a refused run leaves none of the directories it would have made
+    _assert_refused(capsys, [*args, "--out", str(tmp_path / "new" / "run")], message, tmp_path)
+    assert not (tmp_path / "new").exists()
 
 
 def read_csv(path):
@@ -65,9 +100,7 @@ def test_missing_config_file_is_usage_error():
 
 
 def test_empty_config_path_is_usage_error(tmp_path, capsys):
-    assert main(["simulate", "--config", "", "--out", str(tmp_path)]) == 2
-    assert "config file not found: ''" in capsys.readouterr().err
-    assert not (tmp_path / "manifest.txt").exists()
+    _assert_usage_error(tmp_path, capsys, ["simulate", "--config", ""], "config file not found: ''")
 
 
 def test_unreadable_config_file_is_usage_error(tmp_path):
@@ -114,42 +147,31 @@ def test_parse_overrides_requires_equals():
 
 
 def test_unusable_values_exit_2(tmp_path, capsys):
-    assert main(["simulate", "--out", str(tmp_path / "a"), "n=7"]) == 2
-    assert "power of two" in capsys.readouterr().err
-    assert main(["simulate", "--out", str(tmp_path / "b"), "steps=soon"]) == 2
-    assert "invalid value" in capsys.readouterr().err
-    assert main(["simulate", "--out", str(tmp_path / "c"), "bogus=1"]) == 2
-    assert "valid keys" in capsys.readouterr().err
-    args = ["probe-bilinear", "--out", str(tmp_path / "d"), "n=64", "n_active=5000", "probe_samples=1"]
-    assert main(args) == 2
-    assert "cap is 4096" in capsys.readouterr().err
+    _assert_usage_error(tmp_path, capsys, ["simulate", "n=7"], "power of two")
+    _assert_usage_error(tmp_path, capsys, ["simulate", "steps=soon"], "invalid value")
+    _assert_usage_error(tmp_path, capsys, ["simulate", "bogus=1"], "valid keys")
+    args = ["probe-bilinear", "n=64", "n_active=5000", "probe_samples=1"]
+    _assert_usage_error(tmp_path, capsys, args, "cap is 4096")
     # lengths whose mode spacing overflows or underflows in the norms
-    for index, (command, length) in enumerate(
-        (("verify-norms", "1e-300"), ("scaling", "1e-300"), ("probe-bilinear", "1e-300"),
-         ("verify-norms", "1e300"), ("scaling", "1e300"))
+    for command, length in (
+        ("verify-norms", "1e-300"), ("scaling", "1e-300"), ("probe-bilinear", "1e-300"),
+        ("verify-norms", "1e300"), ("scaling", "1e300"),
     ):
-        _assert_usage_error_in_child(
-            tmp_path / f"length{index}", [command, f"length={length}"], "length must lie in [1e-6, 1e6]"
-        )
+        _assert_usage_error(tmp_path, capsys, [command, f"length={length}"], "length must lie in [1e-6, 1e6]")
     # time lattices that cannot hold the widest window or resolve the narrowest,
     # and a t_window whose powers overflow
-    for index, (args, message) in enumerate(
-        (
-            (["verify-norms", "length=0.25"], "time lattice too coarse"),
-            (["verify-norms", "t_window=0.5"], "t_window must be at least 1.0"),
-            (["verify-norms", "t_window=0.75"], "t_window must be at least 1.0"),
-            (["verify-norms", "t_window=16"], "time lattice too coarse"),
-            (["verify-norms", "--seed", "1", "t_window=12"], "time lattice too coarse"),
-            (["verify-norms", "n_t=32"], "time lattice too coarse"),
-            (["verify-norms", "t_window=1e-300"], "t_window must lie in [1e-6, 1e6]"),
-            (["probe-bilinear", "n=16", "probe_samples=1", "n_active=16", "t_window=1e-300"],
-             "t_window must lie in [1e-6, 1e6]"),
-        )
+    for args, message in (
+        (["verify-norms", "length=0.25"], "time lattice too coarse"),
+        (["verify-norms", "t_window=0.5"], "t_window must be at least 1.0"),
+        (["verify-norms", "t_window=0.75"], "t_window must be at least 1.0"),
+        (["verify-norms", "t_window=16"], "time lattice too coarse"),
+        (["verify-norms", "--seed", "1", "t_window=12"], "time lattice too coarse"),
+        (["verify-norms", "n_t=32"], "time lattice too coarse"),
+        (["verify-norms", "t_window=1e-300"], "t_window must lie in [1e-6, 1e6]"),
+        (["probe-bilinear", "n=16", "probe_samples=1", "n_active=16", "t_window=1e-300"],
+         "t_window must lie in [1e-6, 1e6]"),
     ):
-        out = tmp_path / f"window{index}"
-        assert main([*args, "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
-        assert not (out / "manifest.txt").exists()
+        _assert_usage_error(tmp_path, capsys, args, message)
 
 
 @pytest.mark.parametrize("setting", ["t_window=1.0", "t_window=8", "length=0.3", "n_t=64"])
@@ -157,14 +179,12 @@ def test_verify_norms_runs_at_the_edges_of_the_time_lattice_rule(tmp_path, setti
     assert main(["verify-norms", "--out", str(tmp_path), "norm_tuples=3", setting]) == 0
 
 
-def _run_child(args, cwd=None):
-    # in a child process under a timeout, so that a run that never ends
-    # fails the test instead of hanging the suite
+def _run_child(args):
+    # a fresh interpreter, for the tests whose point is a fresh process; the
+    # deadline's exception makes subprocess.run kill the child
     src = os.path.dirname(os.path.dirname(os.path.abspath(monopole_lab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env, cwd=cwd
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def test_importing_the_cli_leaves_scipy_integrate_unloaded():
@@ -174,16 +194,22 @@ def test_importing_the_cli_leaves_scipy_integrate_unloaded():
     assert done.returncode == 0, done.stderr
 
 
-def _assert_exits_2_in_child(args, message, cwd=None):
-    done = _run_child(["-m", "monopole_lab.cli", *args], cwd=cwd)
+def test_the_module_exits_with_process_status_2(tmp_path):
+    # the only test of the module's sys.exit(main())
+    done = _run_child(["-m", "monopole_lab.cli", "simulate", "sample_every=0", "--out", str(tmp_path / "run")])
     assert done.returncode == 2
-    assert message in done.stderr
+    assert "sample_every must be at least 1" in done.stderr
     assert "Traceback" not in done.stderr
 
 
-def _assert_usage_error_in_child(tmp_path, args, message):
-    _assert_exits_2_in_child([*args, "--out", str(tmp_path)], message)
-    assert not (tmp_path / "manifest.txt").exists()
+def test_the_deadline_ends_a_run_that_never_ends(tmp_path, monkeypatch):
+    # without its lower bound, sample_every=0 makes simulate repeat evolve(state, 0);
+    # each round trip grows the Nyquist lines by rounding, so only after about
+    # 50 s at n=16 would the solver's entry refuse the state
+    monkeypatch.setitem(SCHEMA, "sample_every", (int, 10, "steps between recorded samples", None))
+    signal.alarm(2)
+    with pytest.raises(pytest.fail.Exception, match="deadline expired"):
+        main(["simulate", "--out", str(tmp_path), "n=16", "steps=10", "sample_every=0"])
 
 
 @pytest.mark.parametrize(
@@ -196,20 +222,21 @@ def _assert_usage_error_in_child(tmp_path, args, message):
     ],
     ids=["existing-file", "existing-file-override", "below-a-file", "empty"],
 )
-def test_unusable_output_directory_exits_2(tmp_path, out_args, out):
+def test_unusable_output_directory_exits_2(tmp_path, capsys, monkeypatch, out_args, out):
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("", encoding="utf-8")
-    _assert_exits_2_in_child(
-        ["simulate", "n=16", *out_args], f"cannot use output directory {out!r}", cwd=tmp_path
-    )
+    _assert_refused(capsys, ["simulate", "n=16", *out_args], f"cannot use output directory {out!r}", tmp_path)
     assert (tmp_path / "taken").read_text(encoding="utf-8") == ""
-    assert not list(tmp_path.rglob("manifest.txt"))
 
 
-def test_unwritable_csv_path_exits_2(tmp_path):
+def test_unwritable_csv_path_exits_2(tmp_path, capsys):
     # the run does its work, then finds a directory where its CSV goes
     (tmp_path / "simulate.csv").mkdir()
-    _assert_usage_error_in_child(
-        tmp_path, ["simulate", "n=16", "steps=10"], f"cannot write {str(tmp_path / 'simulate.csv')!r}"
+    _assert_refused(
+        capsys,
+        ["simulate", "n=16", "steps=10", "--out", str(tmp_path)],
+        f"cannot write {str(tmp_path / 'simulate.csv')!r}",
+        tmp_path,
     )
 
 
@@ -242,15 +269,15 @@ def test_unwritable_csv_path_exits_2(tmp_path):
          "residuals-lorenz_tol", "verify-cone-rtol", "simulate-length-inf",
          "simulate-kmax-nan", "scaling-length-inf", "probe-bilinear-t_window-inf"],
 )
-def test_values_below_their_bound_exit_2(tmp_path, args, message):
-    _assert_usage_error_in_child(tmp_path, [*args, "n=16"], message)
+def test_values_below_their_bound_exit_2(tmp_path, capsys, args, message):
+    _assert_usage_error(tmp_path, capsys, [*args, "n=16"], message)
 
 
-def test_probe_more_active_modes_than_band_slots_exits_2(tmp_path):
+def test_probe_more_active_modes_than_band_slots_exits_2(tmp_path, capsys):
     # the default quarter band has 9 x 17 x 17 slots; placing more modes by
     # rejection used to never end
-    _assert_usage_error_in_child(
-        tmp_path, ["probe-bilinear", "n_active=3000", "probe_samples=1"],
+    _assert_usage_error(
+        tmp_path, capsys, ["probe-bilinear", "n_active=3000", "probe_samples=1"],
         "n_active=3000 exceeds the 2601 slots",
     )
 
@@ -266,11 +293,11 @@ def test_probe_more_active_modes_than_band_slots_exits_2(tmp_path):
     ],
     ids=lambda args: args[0],
 )
-def test_a_configuration_too_large_for_memory_exits_2(tmp_path, args):
+def test_a_configuration_too_large_for_memory_exits_2(tmp_path, capsys, args):
     # each run asks for one array larger than the 128 TiB user address space,
     # which is refused at once; never use a size that could fit, since the
-    # kernel may kill such a run instead
-    _assert_usage_error_in_child(tmp_path, args, f"{args[0]} does not fit in memory: Unable to allocate")
+    # kernel may kill such a run, here the whole suite, instead
+    _assert_usage_error(tmp_path, capsys, args, f"{args[0]} does not fit in memory: Unable to allocate")
 
 
 @pytest.mark.parametrize("command", ["simulate", "residuals"])
@@ -283,14 +310,17 @@ def test_a_blow_up_names_its_step_in_the_run_and_its_component(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["simulate", "residuals"])
-def test_data_on_the_nyquist_lines_exits_2(tmp_path, command):
+def test_data_on_the_nyquist_lines_exits_2(tmp_path, capsys, command):
     # n=8 is a valid grid, but the default kmax=5 reaches its Nyquist
     # lines, which the solver's entry refuses
-    _assert_usage_error_in_child(tmp_path, [command, "n=8"], "kmax must be below n/2 = 4")
+    _assert_usage_error(tmp_path, capsys, [command, "n=8"], "kmax must be below n/2 = 4")
+    # an output directory that existed before the run stays
+    _assert_refused(capsys, [command, "n=8", "--out", str(tmp_path)], "kmax must be below n/2 = 4", tmp_path)
+    assert tmp_path.is_dir()
+
 
 def test_unknown_flag_exits_2(tmp_path, capsys):
-    assert main(["simulate", "--out", str(tmp_path), "--sed", "3"]) == 2
-    assert "unrecognized" in capsys.readouterr().err
+    _assert_usage_error(tmp_path, capsys, ["simulate", "--sed", "3"], "unrecognized")
 
 
 def test_simulate_writes_artifacts_and_zero_data_stays_zero(tmp_path, capsys):
