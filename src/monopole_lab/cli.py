@@ -4,9 +4,10 @@ Configuration is a flat ``key = value`` text file with # comments.  CLI
 ``key=value`` arguments override file entries, and the dedicated flags
 --seed and --out override both.  Each command's runner computes its
 checks and its tables, one ``(header, rows)`` per CSV name, and writes
-nothing; ``run`` alone creates the output directory and writes the CSVs,
-a manifest echoing the resolved configuration together with library
-versions and wall time, and a plot script that consumes the CSVs.  CSV
+nothing; ``run`` alone, once the runner is done, creates the output
+directory and writes the CSVs, a manifest echoing the resolved
+configuration together with library versions and wall time, and a plot
+script that consumes the CSVs.  A refused run thus makes no directory.  CSV
 files are comma separated, UTF-8, LF line endings, with floats printed
 via repr so identical (config, seed) pairs reproduce identical bytes.
 
@@ -478,40 +479,24 @@ def _write_manifest(out_dir, config, checks, wall_time, status):
         fh.write(f"status = {status}\n")
 
 
-def _make_directories(path):
-    """os.makedirs(path, exist_ok=True), returning the directories it made, deepest first."""
-    head = os.path.dirname(path)
-    made = _make_directories(head) if head and not os.path.exists(head) else []
-    try:
-        os.mkdir(path)
-    except FileExistsError:
-        if not os.path.isdir(path):
-            raise
-        return made
-    return [path, *made]
-
-
 def run(config):
     """Execute one command; returns the exit status and writes artifacts.
 
-    A run that its runner refuses removes the directories it made.
+    The runner computes first and the output directory is made after it,
+    so a refused run makes none and an unusable --out is reported last.
     """
     started = time.perf_counter()
     grid = _grid_from(config)
     rng = np.random.default_rng(config.seed)
-    out_dir = config.out
-    try:
-        made = _make_directories(out_dir)
-    except OSError as err:
-        raise UsageError(f"cannot use output directory {out_dir!r}: {err.strerror}") from None
     try:
         checks, tables = _RUNNERS[config.command](config, grid, rng)
-    except (UsageError, MemoryError) as err:
-        for path in made:
-            os.rmdir(path)
-        if isinstance(err, MemoryError):
-            raise UsageError(f"{config.command} does not fit in memory: {err}") from None
-        raise
+    except MemoryError as err:
+        raise UsageError(f"{config.command} does not fit in memory: {err}") from None
+    out_dir = config.out
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise UsageError(f"cannot use output directory {out_dir!r}: {err.strerror}") from None
     status = 0 if all(passed for _, passed, _ in checks) else 1
     try:
         for name, (header, rows) in tables.items():

@@ -29,11 +29,12 @@ The entry accepts only pairs that equal the basis sum of their
 coefficients (anti-Hermitian and traceless), have empty Nyquist lines,
 and whose plus components are the basis sum of (c + i R c) / 2; every
 stepping operation enters there and raises ValueError, naming the failed
-test, for any other state.  The exit builds the plus halves as the basis
-sums of (c + i R c) / 2 and the minus halves as the rest; diagonal_split,
-the oracle, splits the same way with grid_spectral.apply_projection, and
-nowhere else are half waves split.  The exact linear propagator is the
-per-mode 2 x 2 matrix
+test, for any other state.  The entry zeroes the Nyquist rounding it
+has tested, so round trips do not add it up.  The exit builds the plus
+halves as the basis sums of (c + i R c) / 2 and the minus halves as the
+rest; diagonal_split, the oracle, splits the same way with
+grid_spectral.apply_projection, and nowhere else are half waves split.
+The exact linear propagator is the per-mode 2 x 2 matrix
     exp(pm i h alpha . xi) = cos(h|xi|) pm i sin(h|xi|) alpha . xihat
 acting on the pair index; since E(h) = E(h/2)^2 a step applies only the
 half-step one, four times.  Projection commutes with every stage, so the
@@ -206,6 +207,11 @@ def _require(test, what, defect, tol):
         raise ValueError(f"{test} test failed: {what} is off by {defect:.3g} (tolerance {tol:.3g})")
 
 
+def _require_count(name, value, minimum):
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+
+
 def _check_finite(y, step, h):
     peak = float(np.max(np.abs(y)))
     if not np.isfinite(peak) or peak > _DIVERGENCE_LIMIT:
@@ -256,7 +262,7 @@ class HalfWaveSolver:
         and with plus components that are the actual projections
         (c + i R c) / 2 of their pairs.  All are tested at 1e-12 of the
         state's largest entry, one pair at a time; a ValueError names the
-        test that failed.
+        test that failed.  Nyquist rounding that passes is zeroed.
         """
         self._set_rank(state.u_plus.shape[-1])
         basis = self._basis
@@ -274,6 +280,8 @@ class HalfWaveSolver:
             y[w] = _fft.rfft2(c, axes=(-2, -1), norm="ortho")
             nyquist = np.concatenate([y[w, ..., nyq, :], y[w, ..., nyq]], axis=-1)
             _require("Nyquist", f"the Nyquist lines of the {name} pair", float(np.max(np.abs(nyquist))), tol)
+            y[w, ..., nyq, :] = 0.0
+            y[w, ..., nyq] = 0.0
             gap = float(np.max(np.abs(self._plus_part(c, y[w]) - plus)))
             _require("plus projection", f"{name}_plus against the plus projection of its pair", gap, tol)
         return y
@@ -467,6 +475,7 @@ class HalfWaveSolver:
 
     def evolve(self, state, n_steps, h=None):
         """Advance n_steps integrating-factor RK4 steps of size h (default grid.dt)."""
+        _require_count("n_steps", n_steps, 0)
         h = self.grid.dt if h is None else h
         y = self._to_coeffs(state)
         for i in range(n_steps):
@@ -483,6 +492,8 @@ class HalfWaveSolver:
         of the brackets that dealiasing drops, are recorded as well.  Each
         sample's stage-one nonlinearity is reused by the step that follows.
         """
+        _require_count("n_steps", n_steps, 0)
+        _require_count("sample_every", sample_every, 1)
         h = self.grid.dt
         y = self._to_coeffs(state)
         times, lorenz_vals, row_vals = [], [], []

@@ -203,9 +203,8 @@ def test_the_module_exits_with_process_status_2(tmp_path):
 
 
 def test_the_deadline_ends_a_run_that_never_ends(tmp_path, monkeypatch):
-    # without its lower bound, sample_every=0 makes simulate repeat evolve(state, 0);
-    # each round trip grows the Nyquist lines by rounding, so only after about
-    # 50 s at n=16 would the solver's entry refuse the state
+    # without its lower bound, sample_every=0 makes simulate repeat
+    # evolve(state, 0) forever: nothing in the solver ends it
     monkeypatch.setitem(SCHEMA, "sample_every", (int, 10, "steps between recorded samples", None))
     signal.alarm(2)
     with pytest.raises(pytest.fail.Exception, match="deadline expired"):
@@ -317,6 +316,11 @@ def test_data_on_the_nyquist_lines_exits_2(tmp_path, capsys, command):
     # an output directory that existed before the run stays
     _assert_refused(capsys, [command, "n=8", "--out", str(tmp_path)], "kmax must be below n/2 = 4", tmp_path)
     assert tmp_path.is_dir()
+    # the runner refuses before an unusable --out is looked at, and the file stays
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    _assert_refused(capsys, [command, "n=8", "--out", str(taken)], "kmax must be below n/2 = 4", tmp_path)
+    assert taken.read_text(encoding="utf-8") == ""
 
 
 def test_unknown_flag_exits_2(tmp_path, capsys):

@@ -31,7 +31,7 @@ from monopole_lab.grid_spectral import (
     fft_inverse,
     random_band_limited,
 )
-from monopole_lab.lie import dagger, su_basis
+from monopole_lab.lie import coefficients, dagger, su_basis
 
 from reference_stepper import reference_evolve
 
@@ -356,6 +356,40 @@ def test_evolve_zero_steps_returns_the_state(rng):
     state = random_diagonal_state(rng, grid, amplitude=0.4)
     solver = HalfWaveSolver(grid)
     assert state_distance(solver.evolve(state, 0), state) < 1e-14 * state_max_abs(state)
+
+
+def test_round_trips_do_not_accumulate_nyquist_rounding():
+    # the entry zeroes the Nyquist rounding it has tested; carried through
+    # the exit instead, 200 round trips grow it to about 7e-15 of the state
+    grid = GridSpec(16, 2 * np.pi, 1e-3)
+    state = random_diagonal_state(np.random.default_rng(0), grid, amplitude=0.2, kmax=5)
+    solver = HalfWaveSolver(grid)
+    for _ in range(200):
+        state = solver.evolve(state, 0)
+    nyq = grid.n_points // 2
+    worst = 0.0
+    for pair in (state.u(), state.v()):
+        c_hat = scipy.fft.fft2(coefficients(pair, su_basis(2)), axes=(1, 2), norm="ortho")
+        worst = max(worst, np.max(np.abs(c_hat[:, nyq])), np.max(np.abs(c_hat[:, :, nyq])))
+    assert worst <= 1e-15 * state_max_abs(state)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda solver, s: solver.evolve(s, -3), "n_steps must be at least 0, got -3"),
+        (lambda solver, s: solver.evolve_with_residuals(s, -1), "n_steps must be at least 0, got -1"),
+        (lambda solver, s: solver.evolve_with_residuals(s, 3, sample_every=0),
+         "sample_every must be at least 1, got 0"),
+        (lambda solver, s: solver.evolve_with_residuals(s, 3, sample_every=-2),
+         "sample_every must be at least 1, got -2"),
+    ],
+    ids=["evolve-negative-steps", "residuals-negative-steps", "sample-every-zero", "sample-every-negative"],
+)
+def test_evolve_refuses_unusable_counts(rng, grid, call, message):
+    state = random_diagonal_state(rng, grid, amplitude=0.2)
+    with pytest.raises(ValueError, match=message):
+        call(HalfWaveSolver(grid), state)
 
 
 def test_fast_engine_exit_matches_diagonal_split(rng):
