@@ -46,7 +46,6 @@ from .fl_norms import (
     check_active_modes,
     embedding_check,
     embedding_constant,
-    gaussian_window,
     homogeneous_factorization_check,
     scaling_check,
 )
@@ -276,28 +275,24 @@ def _run_simulate(config, grid, rng):
 
 def _run_residuals(config, grid, rng):
     state = _initial_state(config, grid, rng)
-    solver = HalfWaveSolver(grid)
-    checks = []
+    header = ("time", "lorenz", "row_phi", "row_a1", "row_a2")
     try:
-        _, record = solver.evolve_with_residuals(
+        state, record = HalfWaveSolver(grid).evolve_with_residuals(
             state, config.steps, sample_every=config.sample_every, rows=True
         )
-        worst = float(np.max(record.lorenz))
-        checks.append(
-            (
-                "lorenz_constraint",
-                worst <= config.lorenz_tol,
-                f"max residual {worst:.3e} vs tolerance {config.lorenz_tol:.1e}",
-            )
-        )
-        rows = [
-            (t, lor, r1, r2, r3)
-            for t, lor, (r1, r2, r3) in zip(record.times, record.lorenz, record.rows)
-        ]
     except DivergedError as err:
-        checks.append(("lorenz_constraint", False, str(err)))
-        rows = []
-    return checks, {"residuals.csv": (("time", "lorenz", "row_phi", "row_a1", "row_a2"), rows)}
+        return [("finite_evolution", False, str(err))], {"residuals.csv": (header, [])}
+    worst = float(np.max(record.lorenz))
+    checks = [
+        ("finite_evolution", True, f"max |state| = {state_max_abs(state):.6e}"),
+        (
+            "lorenz_constraint",
+            worst <= config.lorenz_tol,
+            f"max residual {worst:.3e} vs tolerance {config.lorenz_tol:.1e}",
+        ),
+    ]
+    rows = [(t, lor, *row) for t, lor, row in zip(record.times, record.lorenz, record.rows)]
+    return checks, {"residuals.csv": (header, rows)}
 
 
 def _run_verify_null(config, grid, rng):
@@ -386,9 +381,8 @@ def _run_verify_norms(config, grid, rng):
         width = float(rng.uniform(*_WINDOW_WIDTHS))
         sign = 1 if rng.uniform() < 0.5 else -1
         field = random_band_limited(rng, grid, config.kmax, shape=())
-        window = lambda t, w=width: gaussian_window(t, w)
         lhs, rhs, sample = homogeneous_factorization_check(
-            field, window, grid, params, sign, t_window=config.t_window, n_t=config.n_t
+            field, width, grid, params, sign, t_window=config.t_window, n_t=config.n_t
         )
         defect = abs(lhs - rhs) / rhs
         worst_defect = max(worst_defect, defect)

@@ -172,8 +172,12 @@ def gaussian_window(times, width):
     return np.exp(-(times**2) / (2.0 * width**2))
 
 
-def free_wave_sample(grid, field, sign, window, t_window=2.0, n_t=256):
-    """Fourier coefficients of exp(i t sign |D|) field, times window(t), on axes (time, xi, ...)."""
+def free_wave_sample(grid, field, sign, width, t_window=2.0, n_t=256):
+    """Fourier coefficients of gaussian_window(t, width) exp(i t sign |D|) field.
+
+    Axes are (time, xi_1, xi_2, extra...), and the sample's window holds
+    the time profile.
+    """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     field = np.asarray(field, dtype=complex)
@@ -182,7 +186,7 @@ def free_wave_sample(grid, field, sign, window, t_window=2.0, n_t=256):
         raise ValueError(f"field shape {field.shape} does not match grid n={n}")
     dt = 2.0 * t_window / n_t
     times = -t_window + dt * np.arange(n_t)
-    profile = np.asarray(window(times), dtype=float)
+    profile = gaussian_window(times, width)
     phases = np.exp(1j * sign * times[:, np.newaxis, np.newaxis] * grid.kabs)
     waves = profile[:, np.newaxis, np.newaxis] * phases
     coeffs = _fft.fft2(field, axes=(0, 1), norm="forward")
@@ -230,32 +234,21 @@ def embedding_check(sample, grid, params, xsb):
     return float(np.max(_lp(weighted, (2.0 * np.pi / grid.length) ** 2, params.p, (1, 2)))) / xsb
 
 
-def homogeneous_factorization_check(field, window, grid, params, sign, t_window=2.0, n_t=256):
+def homogeneous_factorization_check(field, width, grid, params, sign, t_window=2.0, n_t=256):
     """Both sides of |rho W(t) f|_{X^{s,b}_p} = |rho|_{H^b_p} |f|_{H^s_p}, and the sample.
 
-    Exact in the continuum; discretely the two sides are Riemann sums of
-    one function over lattices offset by |xi| mod the tau spacing, so
-    they agree to spectral accuracy for smooth decaying windows.  The
-    returned sample is the windowed wave rho W(t) f whose norm is lhs.
+    rho is the gaussian window of the given width.  Exact in the
+    continuum; discretely the two sides are Riemann sums of one function
+    over lattices offset by |xi| mod the tau spacing, so they agree to
+    spectral accuracy.  The returned sample is the windowed wave
+    rho W(t) f whose norm is lhs.
     """
-    sample = free_wave_sample(grid, field, sign, window, t_window=t_window, n_t=n_t)
+    sample = free_wave_sample(grid, field, sign, width, t_window=t_window, n_t=n_t)
     lhs = xsb_norm(sample, grid, params.s, params.b, params.p, sign)
     rhs = hbp_norm_1d(sample.window, t_window, params.b, params.p) * hsp_norm(
         field, grid, params.s, params.p
     )
     return lhs, rhs, sample
-
-
-@dataclass(frozen=True)
-class BilinearProbeResult:
-    lhs: float
-    rhs_phi: float
-    rhs_psi: float
-    transform: np.ndarray
-
-    @property
-    def ratio(self):
-        return self.lhs / (self.rhs_phi * self.rhs_psi)
 
 
 def _active_modes(name, tilde, n_t, n):
@@ -280,13 +273,8 @@ def _pair_angles(eta, zeta):
     return np.arctan2(np.abs(cross), np.sum(eta * zeta, axis=0))
 
 
-def key_bilinear_probe(phi_tilde, psi_tilde, grid, params, sign, t_window=2.0):
-    """Angle-weighted mode convolution against the product of input norms.
-
-    phi_tilde and psi_tilde are nonnegative space-time Fourier data on the
-    (tau, xi) lattice.  The output norm uses exponents (s, 0); the input
-    norms use (s, b) with modulation signs (+, sign).
-    """
+def _convolve(phi_tilde, psi_tilde, grid, sign, t_window):
+    """Angle-weighted mode convolution Q of two nonnegative (tau, xi) lattices."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     n = grid.n_points
@@ -295,17 +283,13 @@ def key_bilinear_probe(phi_tilde, psi_tilde, grid, params, sign, t_window=2.0):
     psi_idx = _active_modes("psi_tilde", psi_tilde, n_t, n)
     phi_tilde = np.asarray(phi_tilde, dtype=float)
     psi_tilde = np.asarray(psi_tilde, dtype=float)
-
-    taus = tau_lattice(n_t, t_window)
-    cell = (np.pi / t_window) * (2.0 * np.pi / grid.length) ** 2
     out = np.zeros((n_t, n, n))
     if phi_idx[0].size and psi_idx[0].size:
         eta = np.stack([grid.kx[phi_idx[1], phi_idx[2]], grid.ky[phi_idx[1], phi_idx[2]]])
         zeta = np.stack([grid.kx[psi_idx[1], psi_idx[2]], grid.ky[psi_idx[1], psi_idx[2]]])
         kernel = _pair_angles(eta[:, :, np.newaxis], sign * zeta[:, np.newaxis, :])
-        vals = kernel * np.multiply.outer(
-            phi_tilde[phi_idx], psi_tilde[psi_idx]
-        ) * cell
+        cell = (np.pi / t_window) * (2.0 * np.pi / grid.length) ** 2
+        vals = kernel * np.multiply.outer(phi_tilde[phi_idx], psi_tilde[psi_idx]) * cell
         flat = np.ravel_multi_index(
             (
                 (phi_idx[0][:, None] + psi_idx[0][None, :]) % n_t,
@@ -315,16 +299,25 @@ def key_bilinear_probe(phi_tilde, psi_tilde, grid, params, sign, t_window=2.0):
             (n_t, n, n),
         )
         np.add.at(out.reshape(-1), flat.ravel(), vals.ravel())
+    return out
 
+
+def key_bilinear_probe(phi_tilde, psi_tilde, grid, params, sign, t_window=2.0):
+    """The probe.csv columns lhs, rhs and ratio of one pair of inputs.
+
+    phi_tilde and psi_tilde are nonnegative space-time Fourier data on the
+    (tau, xi) lattice.  lhs is the norm of their angle-weighted convolution
+    with exponents (s, 0); rhs is the product of the input norms with
+    exponents (s, b) and modulation signs (+, sign).
+    """
+    out = _convolve(phi_tilde, psi_tilde, grid, sign, t_window)
+    taus = tau_lattice(out.shape[0], t_window)
     dtau = np.pi / t_window
     lhs = _xsb_of_transform(out, grid, taus, dtau, params.s, 0.0, params.p, 1)
-    rhs_phi = _xsb_of_transform(
-        phi_tilde, grid, taus, dtau, params.s, params.b, params.p, 1
-    )
-    rhs_psi = _xsb_of_transform(
-        psi_tilde, grid, taus, dtau, params.s, params.b, params.p, sign
-    )
-    return BilinearProbeResult(lhs=lhs, rhs_phi=rhs_phi, rhs_psi=rhs_psi, transform=out)
+    rhs_phi = _xsb_of_transform(phi_tilde, grid, taus, dtau, params.s, params.b, params.p, 1)
+    rhs_psi = _xsb_of_transform(psi_tilde, grid, taus, dtau, params.s, params.b, params.p, sign)
+    rhs = rhs_phi * rhs_psi
+    return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
 
 
 def check_active_modes(grid, n_t, n_active):
@@ -375,18 +368,6 @@ def bilinear_sweep(rng, grid, eps_values, n_samples=25, n_active=96, n_t=16, t_w
             for k in range(n_samples):
                 phi = random_positive_coeffs(rng, grid, n_t, n_active)
                 psi = random_positive_coeffs(rng, grid, n_t, n_active)
-                result = key_bilinear_probe(
-                    phi, psi, grid, params, sign, t_window=t_window
-                )
-                rows.append(
-                    {
-                        "eps": eps,
-                        "p": params.p,
-                        "sign": sign,
-                        "sample": k,
-                        "lhs": result.lhs,
-                        "rhs": result.rhs_phi * result.rhs_psi,
-                        "ratio": result.ratio,
-                    }
-                )
+                probe = key_bilinear_probe(phi, psi, grid, params, sign, t_window=t_window)
+                rows.append({"eps": eps, "p": params.p, "sign": sign, "sample": k, **probe})
     return rows

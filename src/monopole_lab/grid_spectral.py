@@ -164,7 +164,7 @@ def random_band_limited(rng, grid, kmax, shape=(), scale=1.0):
 
 
 def dilate(field, grid, lam):
-    """Dyadic rescaling x -> lam * x realized by shrinking the period.
+    """Rescaling x -> lam * x, for any lam > 0, realized by shrinking the period.
 
     The samples of f(lam x) on the grid of period L/lam coincide with the
     samples of f on the original grid, so the returned field is just a
@@ -175,8 +175,5 @@ def dilate(field, grid, lam):
     field = np.asarray(field)
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    expo = np.log2(lam)
-    if abs(expo - round(expo)) > 1e-12:
-        raise ValueError(f"lam must be a dyadic power 2**k, got {lam}")
     new_grid = GridSpec(grid.n_points, grid.length / lam, grid.dt / lam)
     return lam * field, new_grid

@@ -306,6 +306,9 @@ def test_a_blow_up_names_its_step_in_the_run_and_its_component(tmp_path, capsys,
     assert main([command, "--out", str(tmp_path), "amplitude=350", "sample_every=2"]) == 1
     printed = capsys.readouterr().out
     assert "solution blew up at step 5, t=0.005: the v pair, component 1, basis coefficient 2" in printed
+    # the blow-up is charged to the evolution, not to a check of its output
+    assert f"[{command}] finite_evolution: FAIL (solution blew up at step 5" in printed
+    assert "lorenz_constraint" not in printed
 
 
 @pytest.mark.parametrize("command", ["simulate", "residuals"])

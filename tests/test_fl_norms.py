@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.fft import ifft2
 from scipy.integrate import quad
 
+from monopole_lab import fl_norms
 from monopole_lab.errors import DegenerateInputError
 from monopole_lab.fl_norms import (
     MAX_ACTIVE_MODES,
@@ -127,7 +128,7 @@ def test_single_mode_wave_concentrates_on_characteristic():
     x = 2.0 * np.pi / 16 * np.arange(16)
     field = 0.83 * np.exp(1j * 3 * x)[:, None] * np.exp(1j * x)[None, :]
     params = NormParams.from_eps(0.125)
-    sample = free_wave_sample(GRID, field, 1, window=lambda t: gaussian_window(t, 0.2))
+    sample = free_wave_sample(GRID, field, 1, 0.2)
     left = xsb_norm(sample, GRID, params.s, params.b, params.p, 1)
     mag_sq = 3.0**2 + 1.0**2
     right = (
@@ -142,7 +143,7 @@ def test_single_mode_wave_concentrates_on_characteristic():
 def test_xsb_norm_monotone_in_modulation_exponent():
     rng = np.random.default_rng(3)
     field = random_band_limited(rng, GRID, 5.0, shape=())
-    sample = free_wave_sample(GRID, field, -1, window=lambda t: gaussian_window(t, 0.2))
+    sample = free_wave_sample(GRID, field, -1, 0.2)
     values = [xsb_norm(sample, GRID, 0.5, b, 1.5, -1) for b in (0.0, 0.3, 0.6, 0.9)]
     assert np.all(np.diff(values) >= 0.0)
 
@@ -155,9 +156,7 @@ def test_factorization_identity():
         for width in (0.10, 0.15, 0.20, 0.25):
             sign = 1 if checked % 2 == 0 else -1
             field = random_band_limited(rng, GRID, 5.0, shape=())
-            lhs, rhs, _ = homogeneous_factorization_check(
-                field, lambda t, w=width: gaussian_window(t, w), GRID, params, sign
-            )
+            lhs, rhs, _ = homogeneous_factorization_check(field, width, GRID, params, sign)
             assert lhs > 0.0
             assert abs(lhs - rhs) <= 1e-6 * rhs
             checked += 1
@@ -168,9 +167,7 @@ def test_factorization_identity():
             field = np.moveaxis(
                 random_band_limited(rng, GRID, 4.0, shape=(2, 2, 2)), (-2, -1), (0, 1)
             )
-            lhs, rhs, _ = homogeneous_factorization_check(
-                field, lambda t: gaussian_window(t, 0.15), GRID, params, sign
-            )
+            lhs, rhs, _ = homogeneous_factorization_check(field, 0.15, GRID, params, sign)
             assert abs(lhs - rhs) <= 1e-6 * rhs
             checked += 1
     assert checked >= 20
@@ -178,9 +175,7 @@ def test_factorization_identity():
 
 def test_factorization_zero_field():
     params = NormParams.from_eps(0.125)
-    lhs, rhs, _ = homogeneous_factorization_check(
-        np.zeros((16, 16)), lambda t: gaussian_window(t, 0.2), GRID, params, 1
-    )
+    lhs, rhs, _ = homogeneous_factorization_check(np.zeros((16, 16)), 0.2, GRID, params, 1)
     assert (lhs, rhs) == (0.0, 0.0)
 
 
@@ -191,9 +186,7 @@ def test_halving_the_window_changes_only_the_time_factor():
     lhs = {}
     hbp = {}
     for width in (0.2, 0.1):
-        sample = free_wave_sample(
-            GRID, field, 1, window=lambda t, w=width: gaussian_window(t, w)
-        )
+        sample = free_wave_sample(GRID, field, 1, width)
         lhs[width] = xsb_norm(sample, GRID, params.s, params.b, params.p, 1)
         hbp[width] = hbp_norm_1d(sample.window, 2.0, params.b, params.p)
     assert_allclose(lhs[0.1] / lhs[0.2], hbp[0.1] / hbp[0.2], rtol=1e-6)
@@ -203,7 +196,8 @@ def test_scaling_exponent_is_exact():
     rng = np.random.default_rng(9)
     for p, s in ((2.0, 1.0), (4 / 3, 3 / 4), (8 / 7, 7 / 8)):
         field = random_band_limited(rng, GRID, 4.0, shape=())
-        for lam in (2.0, 4.0):
+        # the rescaled samples are exact for every lam > 0, not only for 2**k
+        for lam in (2.0, 4.0, 3.0, 0.7):
             measured = scaling_check(field, GRID, lam, s, p)
             assert abs(measured - (s + 1.0 - 2.0 / p)) < 1e-12
 
@@ -236,9 +230,7 @@ def test_embedding_ratio_sweep_stays_below_constant():
         width = rng.uniform(0.1, 0.25)
         sign = 1 if rng.uniform() < 0.5 else -1
         field = random_band_limited(rng, GRID, 5.0, shape=())
-        lhs, _, sample = homogeneous_factorization_check(
-            field, lambda t: gaussian_window(t, width), GRID, params, sign
-        )
+        lhs, _, sample = homogeneous_factorization_check(field, width, GRID, params, sign)
         ratio = embedding_check(sample, GRID, params, lhs)
         worst = max(worst, ratio / embedding_constant(params.b, params.p))
     assert worst < 1.0
@@ -251,7 +243,7 @@ def test_bilinear_point_mass_collapses_to_weighted_translate():
     phi = random_positive_coeffs(rng, GRID, 16, 40)
     psi = np.zeros((16, 16, 16))
     psi[3, 2, 15] = 0.7
-    result = key_bilinear_probe(phi, psi, GRID, params, 1)
+    transform = fl_norms._convolve(phi, psi, GRID, 1, 2.0)
     expect = np.zeros_like(phi)
     for m, a, c in zip(*np.nonzero(phi)):
         # the exact angle to zeta = (2, -1) from the signed integer mode
@@ -261,7 +253,7 @@ def test_bilinear_point_mass_collapses_to_weighted_translate():
         expect[m, a, c] = theta * phi[m, a, c] * 0.7
     cell = (np.pi / 2.0) * (2.0 * np.pi / GRID.length) ** 2
     shifted = np.roll(expect, (3, 2, 15), axis=(0, 1, 2)) * cell
-    assert_allclose(result.transform, shifted, atol=1e-14)
+    assert_allclose(transform, shifted, atol=1e-14)
 
 
 def test_bilinear_collinear_support_vanishes():
@@ -272,16 +264,16 @@ def test_bilinear_collinear_support_vanishes():
     psi[1, 3, 0] = 0.9
     psi[5, 1, 0] = 0.2
     params = NormParams.from_eps(0.125)
-    assert key_bilinear_probe(phi, psi, GRID, params, 1).lhs == 0.0
-    assert key_bilinear_probe(phi, psi, GRID, params, -1).lhs > 0.0
+    assert key_bilinear_probe(phi, psi, GRID, params, 1)["lhs"] == 0.0
+    assert key_bilinear_probe(phi, psi, GRID, params, -1)["lhs"] > 0.0
     # off the axes, eta = (4, -2) and zeta = (2, -1) are collinear too; an
     # arccos of their rounded cosine would weight this pair 2e-8
     phi = np.zeros((16, 16, 16))
     psi = np.zeros((16, 16, 16))
     phi[1, 4, 14] = 0.4
     psi[2, 2, 15] = 0.6
-    assert key_bilinear_probe(phi, psi, GRID, params, 1).lhs == 0.0
-    assert key_bilinear_probe(phi, psi, GRID, params, -1).lhs > 0.0
+    assert key_bilinear_probe(phi, psi, GRID, params, 1)["lhs"] == 0.0
+    assert key_bilinear_probe(phi, psi, GRID, params, -1)["lhs"] > 0.0
 
 
 def test_bilinear_probe_validation():
@@ -307,10 +299,9 @@ def test_bilinear_probe_validation():
     dc[0, 0, 0] = 1.0
     dc[1, 1, 0] = 0.5
     result = key_bilinear_probe(dc, dc, GRID, params, 1)
-    assert np.isfinite(result.lhs)
+    assert np.isfinite(result["lhs"])
     # with sign -1 only the pair of the two (1, 0) modes, at angle pi, is weighted
-    result = key_bilinear_probe(dc, dc, GRID, params, -1)
-    assert np.count_nonzero(result.transform) == 1
+    assert np.count_nonzero(fl_norms._convolve(dc, dc, GRID, -1, 2.0)) == 1
 
 
 def test_random_positive_coeffs_layout():
@@ -334,10 +325,10 @@ def test_bilinear_sweep_frozen_baseline():
 
 def test_free_wave_sample_validation():
     with pytest.raises(ValueError):
-        free_wave_sample(GRID, np.zeros((16, 16)), 0, np.ones_like)
+        free_wave_sample(GRID, np.zeros((16, 16)), 0, 0.2)
     with pytest.raises(ValueError):
-        free_wave_sample(GRID, np.zeros((12, 16)), 1, np.ones_like)
-    sample = free_wave_sample(GRID, np.ones((16, 16)), 1, np.ones_like, n_t=64)
+        free_wave_sample(GRID, np.zeros((12, 16)), 1, 0.2)
+    sample = free_wave_sample(GRID, np.ones((16, 16)), 1, 0.2, n_t=64)
     assert sample.values.shape == (64, 16, 16)
 
 
@@ -347,9 +338,7 @@ def test_free_wave_sample_holds_fourier_coefficients():
     field = np.cos(x)[:, None] * np.ones(16)[None, :]
     times = -2.0 + (4.0 / 64) * np.arange(64)
     for sign in (1, -1):
-        sample = free_wave_sample(
-            GRID, field, sign, lambda t: gaussian_window(t, 0.2), n_t=64
-        )
+        sample = free_wave_sample(GRID, field, sign, 0.2, n_t=64)
         want = np.zeros((64, 16, 16), dtype=complex)
         want[:, 1, 0] = gaussian_window(times, 0.2) * np.exp(1j * sign * times) / 2
         want[:, 15, 0] = want[:, 1, 0]

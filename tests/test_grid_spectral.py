@@ -181,7 +181,7 @@ def test_random_band_limited_is_real_and_band_limited(rng, grid):
     assert np.max(np.abs(spec[:, hi])) < 1e-10 * np.max(np.abs(spec))
 
 
-def test_dilate_identity_and_dyadic_checks(rng, grid):
+def test_dilate_identity_any_positive_lam_and_refusal(rng, grid):
     f = random_pair(rng, grid)[0]
     out, g2 = dilate(f, grid, 1.0)
     assert g2 == grid
@@ -190,7 +190,8 @@ def test_dilate_identity_and_dyadic_checks(rng, grid):
     assert g2.length == grid.length / 2
     assert g2.dt == pytest.approx(grid.dt / 2)
     assert_allclose(out, 2.0 * f, atol=0)
-    with pytest.raises(ValueError):
-        dilate(f, grid, 3.0)
+    out, g2 = dilate(f, grid, 3.0)
+    assert g2.length == grid.length / 3
+    assert_allclose(out, 3.0 * f, atol=0)
     with pytest.raises(ValueError):
         dilate(f, grid, -2.0)
