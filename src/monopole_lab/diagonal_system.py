@@ -41,6 +41,10 @@ half-step one, four times.  Projection commutes with every stage, so the
 step agrees to rounding with a projected IF-RK4 on the matrix pairs;
 tests enforce this.
 
+One loop, the generator HalfWaveSolver.samples, steps the engine and
+yields the spectra at sampled instants; evolve, evolve_with_residuals and
+the CLI's simulate consume it, and nothing else calls the step.
+
 Residuals are read off the engine's own rates.  On them the Lorenz
 constraint is an identity, and each of the three evolution rows reduces
 to the part of its bracket term that the two-thirds rule drops, so the
@@ -339,9 +343,9 @@ class HalfWaveSolver:
         e[1, 0] = e[0, 1]
         return e
 
-    def _propagate(self, e, y):
+    def _propagate(self, e, y, out=None):
         """Apply the per-mode 2 x 2 propagators e to the pair index of u and v."""
-        out = np.empty_like(y)
+        out = np.empty_like(y) if out is None else out
         tmp = self._spec_tmp
         for w in range(2):
             for i in range(2):
@@ -396,7 +400,7 @@ class HalfWaveSolver:
         With E(h) = E(h/2)^2 and a = E y the step reads
             k2 = N(a + h/2 E k1),  k3 = N(a + h/2 k2),  k4 = N(E (a + h k3)),
             y' = E (a + h/6 E k1 + h/3 (k2 + k3)) + h/6 k4,
-        and each stage is added into the sum as soon as it is known.
+        and each stage is added into the sum once known; y' overwrites y.
         """
         e = self._half_propagator(h)
         if k1 is None:
@@ -418,28 +422,21 @@ class HalfWaveSolver:
         np.multiply(k, 3.0, out=arg)  # h k3
         arg += a
         k = self._nonlinearity(self._propagate(e, arg))  # k4
-        out = self._propagate(e, acc)
+        self._propagate(e, acc, out=y)
         k *= h / 6.0
-        out += k
-        return out
+        y += k
+        return y
 
     # rates and residuals -------------------------------------------------------
 
-    def _rates(self, y, k1):
+    def _lorenz_sup(self, y, n_hat):
+        """Gauge residual on the first rows of the engine's rates; n_hat are the undealiased _products."""
         kx, ky = self._kx_r, self._ky_r
-        out = np.empty_like(y)
-        out[0, 0] = 1j * (kx * y[0, 0] + ky * y[0, 1]) + k1[0, 0]
-        out[0, 1] = 1j * (ky * y[0, 0] - kx * y[0, 1]) + k1[0, 1]
-        out[1, 0] = -1j * (kx * y[1, 0] + ky * y[1, 1]) + k1[1, 0]
-        out[1, 1] = -1j * (ky * y[1, 0] - kx * y[1, 1]) + k1[1, 1]
-        return out
-
-    def _lorenz_sup(self, y, k1):
-        rates = self._rates(y, k1)
+        n0 = self._dealias(n_hat[0].copy())
         res_hat = 0.5 * (
-            rates[0, 0] + rates[1, 0]
-            - 1j * self._kx_r * (y[0, 0] - y[1, 0])
-            - 1j * self._ky_r * (y[0, 1] - y[1, 1])
+            (1j * (kx * y[0, 0] + ky * y[0, 1]) + n0) + (-1j * (kx * y[1, 0] + ky * y[1, 1]) - n0)
+            - 1j * kx * (y[0, 0] - y[1, 0])
+            - 1j * ky * (y[0, 1] - y[1, 1])
         )
         n = self.grid.n_points
         res = _fft.irfft2(res_hat, s=(n, n), axes=(-2, -1), norm="ortho")
@@ -473,14 +470,34 @@ class HalfWaveSolver:
         rates = pair_rhs(self.grid, u, v)
         return from_uv(self.grid, u, v), from_uv(self.grid, *rates)
 
-    def evolve(self, state, n_steps, h=None):
-        """Advance n_steps integrating-factor RK4 steps of size h (default grid.dt)."""
+    def samples(self, state, n_steps, sample_every=1, h=None):
+        """Advance n_steps steps of size h (default grid.dt), yielding (step, spectra, products).
+
+        It yields at step 0, every sample_every-th step and the last step.
+        spectra are a read-only view of the coefficient spectra of (u, v),
+        which later steps overwrite; products are their undealiased
+        _products, which the next step takes as its k1, or None at the last
+        step.  Kept past the loop body, products hold their memory.
+        """
         _require_count("n_steps", n_steps, 0)
+        _require_count("sample_every", sample_every, 1)
         h = self.grid.dt if h is None else h
         y = self._to_coeffs(state)
         for i in range(n_steps):
-            y = self._step(y, h)
+            k1 = None
+            if i % sample_every == 0:
+                products = self._products(y)
+                yield i, np.broadcast_to(y, y.shape), products  # a read-only view
+                k1 = self._nonlinearity(y, products)
+                del products
+            y = self._step(y, h, k1)
             _check_finite(y, i + 1, h)
+        yield n_steps, np.broadcast_to(y, y.shape), None
+
+    def evolve(self, state, n_steps, h=None):
+        """Advance n_steps IF-RK4 steps of size h (default grid.dt), sampling the two ends only."""
+        for _, y, products in self.samples(state, n_steps, max(n_steps, 1), h):
+            del products  # not kept through the steps that follow
         return self._to_state(y)
 
     def evolve_with_residuals(self, state, n_steps, sample_every=1, rows=False):
@@ -489,26 +506,16 @@ class HalfWaveSolver:
         Returns (final_state, ResidualRecord).  The gauge constraint
         residual is recorded at every sampled instant; with rows=True the
         three evolution-row residuals, which on these rates are the parts
-        of the brackets that dealiasing drops, are recorded as well.  Each
-        sample's stage-one nonlinearity is reused by the step that follows.
+        of the brackets that dealiasing drops, are recorded as well.
         """
-        _require_count("n_steps", n_steps, 0)
-        _require_count("sample_every", sample_every, 1)
-        h = self.grid.dt
-        y = self._to_coeffs(state)
         times, lorenz_vals, row_vals = [], [], []
-        for i in range(n_steps + 1):
-            k1 = None
-            if i % sample_every == 0 or i == n_steps:
+        for i, y, n_hat in self.samples(state, n_steps, sample_every):
+            if n_hat is None:
                 n_hat = self._products(y)
-                if rows:
-                    row_vals.append(self._row_sups(n_hat))
-                k1 = self._nonlinearity(y, n_hat)
-                times.append(i * h)
-                lorenz_vals.append(self._lorenz_sup(y, k1))
-            if i < n_steps:
-                y = self._step(y, h, k1)
-                _check_finite(y, i + 1, h)
+            if rows:
+                row_vals.append(self._row_sups(n_hat))
+            times.append(i * self.grid.dt)
+            lorenz_vals.append(self._lorenz_sup(y, n_hat))
         record = ResidualRecord(
             times=np.array(times),
             lorenz=np.array(lorenz_vals),

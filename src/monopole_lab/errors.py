@@ -7,8 +7,8 @@ class DegenerateInputError(ValueError):
 
 
 class DivergedError(RuntimeError):
-    """Raised when time integration produces non-finite values: at step (of the
-    call that diverged, each of size h), in the place that detail names."""
+    """Raised when time integration produces non-finite values: at step (counted
+    from the start of the run, each of size h), in the place that detail names."""
 
     def __init__(self, step, h, detail):
         self.step, self.h, self.detail = step, h, detail

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from monopole_lab import cone_quadrature, diagonal_system
+from monopole_lab import cone_quadrature, diagonal_system, fl_norms
 from monopole_lab.grid_spectral import GridSpec
 
 
@@ -18,6 +18,31 @@ def grid():
 @pytest.fixture
 def grid32():
     return GridSpec(32, 2.0 * np.pi, 1e-3)
+
+
+@pytest.fixture
+def product_count(monkeypatch):
+    """Count the engine's product spectra, one per nonlinearity it evaluates."""
+    calls = []
+    products = diagonal_system.HalfWaveSolver._products
+
+    def counted(self, y):
+        calls.append(None)
+        return products(self, y)
+
+    monkeypatch.setattr(diagonal_system.HalfWaveSolver, "_products", counted)
+    return calls
+
+
+@pytest.fixture
+def weight_exponent_off_by_1e_5(monkeypatch):
+    """Make the spatial norms weigh |xi| with the exponent s (1 + 1e-5)."""
+    spatial_weight = fl_norms._spatial_weight
+
+    def off(grid, s, homogeneous):
+        return spatial_weight(grid, s * (1.0 + 1e-5), homogeneous)
+
+    monkeypatch.setattr(fl_norms, "_spatial_weight", off)
 
 
 @pytest.fixture

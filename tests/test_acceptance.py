@@ -288,6 +288,10 @@ def test_ac5_catches_an_unpadded_time_transform(monkeypatch):
     assert _ac5_worst_defect() > 1e-6
 
 
+# the exponents are exact up to rounding, which reads about 4e-16
+AC6_BOUND = 1e-12
+
+
 def _ac6_worst_defect():
     grid = GridSpec(16, 2.0 * np.pi, 1e-3)
     rng = np.random.default_rng(106)
@@ -304,7 +308,7 @@ def _ac6_worst_defect():
 
 def test_ac6_scaling_exponents():
     worst, details = _ac6_worst_defect()
-    ok = worst <= 1e-3
+    ok = worst <= AC6_BOUND
     assert _report(
         "AC6",
         "dilation exponent of the spatial norm",
@@ -321,6 +325,12 @@ def test_ac6_catches_an_inhomogeneous_weight(monkeypatch):
     )
     worst, _ = _ac6_worst_defect()
     assert worst > 1e-3
+
+
+def test_ac6_catches_a_weight_exponent_off_by_1e_5(weight_exponent_off_by_1e_5):
+    # the measured exponent moves by about 1e-5, which a bound of 1e-3 would let through
+    worst, _ = _ac6_worst_defect()
+    assert worst > AC6_BOUND
 
 
 def _ac7_measure():

@@ -4,12 +4,13 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import monopole_lab
-from monopole_lab import null_geometry
+from monopole_lab import cli, null_geometry
 from monopole_lab.cli import (
     COMMANDS,
     SCHEMA,
@@ -19,6 +20,8 @@ from monopole_lab.cli import (
     main,
     parse_overrides,
 )
+from monopole_lab.diagonal_system import HalfWaveSolver, random_diagonal_state
+from monopole_lab.grid_spectral import GridSpec
 
 
 @pytest.fixture(autouse=True)
@@ -203,12 +206,16 @@ def test_the_module_exits_with_process_status_2(tmp_path):
 
 
 def test_the_deadline_ends_a_run_that_never_ends(tmp_path, monkeypatch):
-    # without its lower bound, sample_every=0 makes simulate repeat
-    # evolve(state, 0) forever: nothing in the solver ends it
-    monkeypatch.setitem(SCHEMA, "sample_every", (int, 10, "steps between recorded samples", None))
+    # a runner that never returns stands in for a computation that never ends
+    def endless(config, grid, rng):
+        while True:
+            time.sleep(1.0)
+
+    monkeypatch.setitem(cli._RUNNERS, "simulate", endless)
     signal.alarm(2)
     with pytest.raises(pytest.fail.Exception, match="deadline expired"):
-        main(["simulate", "--out", str(tmp_path), "n=16", "steps=10", "sample_every=0"])
+        main(["simulate", "--out", str(tmp_path), "n=16"])
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -301,8 +308,8 @@ def test_a_configuration_too_large_for_memory_exits_2(tmp_path, capsys, args):
 
 @pytest.mark.parametrize("command", ["simulate", "residuals"])
 def test_a_blow_up_names_its_step_in_the_run_and_its_component(tmp_path, capsys, command):
-    # simulate evolves in chunks of sample_every steps, residuals in one call;
-    # both count the steps from the start of the run
+    # both step in the solver's one sampled loop, which counts the steps
+    # from the start of the run
     assert main([command, "--out", str(tmp_path), "amplitude=350", "sample_every=2"]) == 1
     printed = capsys.readouterr().out
     assert "solution blew up at step 5, t=0.005: the v pair, component 1, basis coefficient 2" in printed
@@ -357,6 +364,26 @@ def test_simulate_writes_artifacts_and_zero_data_stays_zero(tmp_path, capsys):
     assert manifest["status"] == "0"
     assert manifest["check_finite_evolution"].startswith("PASS")
     ast.parse((out / "plot.py").read_text(encoding="utf-8"))
+
+
+def test_simulate_rows_match_chained_evolve_calls(tmp_path, product_count):
+    # the last row, at step 25, lies off the sampling grid
+    args = ["--seed", "0", "n=16", "steps=25", "sample_every=10", "amplitude=0.2", "kmax=5"]
+    assert main(["simulate", "--out", str(tmp_path), *args]) == 0
+    # four nonlinearities a step, of which a sampled instant's products are the first
+    assert len(product_count) == 100
+    rows = read_csv(tmp_path / "simulate.csv")[1:]
+    assert [int(row[0]) for row in rows] == [0, 10, 20, 25]
+    grid = GridSpec(16, 2.0 * np.pi, 1e-3)
+    solver = HalfWaveSolver(grid)
+    state = random_diagonal_state(np.random.default_rng(0), grid, amplitude=0.2, kmax=5.0)
+    previous = 0
+    for row in rows:
+        state = solver.evolve(state, int(row[0]) - previous)
+        previous = int(row[0])
+        for column, pair in ((2, state.u()), (3, state.v())):
+            expected = float(np.max(np.abs(pair)))
+            assert abs(float(row[column]) - expected) <= 1e-14 * expected
 
 
 def test_identical_config_and_seed_reproduce_identical_bytes(tmp_path):
@@ -466,7 +493,13 @@ def test_scaling_run_matches_expected_exponents(tmp_path):
     assert main(["scaling", "--out", str(out), "n=16"]) == 0
     rows = read_csv(out / "scaling.csv")
     assert len(rows) == 7
-    assert all(abs(float(row[5])) <= 1e-3 for row in rows[1:])
+    assert all(abs(float(row[5])) <= 1e-12 for row in rows[1:])
+
+
+def test_scaling_fails_a_weight_exponent_off_by_1e_5(tmp_path, capsys, weight_exponent_off_by_1e_5):
+    # the measured exponents move by about 1e-5, far above the check's 1e-12
+    assert main(["scaling", "--out", str(tmp_path), "n=16"]) == 1
+    assert "[scaling] scaling_exponent: FAIL (max exponent defect 1.000e-05)" in capsys.readouterr().out
 
 
 def test_probe_bilinear_small_run(tmp_path):

@@ -487,3 +487,30 @@ def test_residual_record_sampling_matches_every_step(rng):
     assert_allclose(sampled.lorenz, every.lorenz[::3], rtol=1e-13, atol=0)
     assert_allclose(sampled.rows, every.rows[::3], rtol=1e-13, atol=0)
     assert state_distance(final, every_final) < 1e-14 * state_max_abs(state)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda solver, state: solver.evolve(state, 10), 40),
+        (lambda solver, state: solver.evolve(state, 0), 0),
+        (lambda solver, state: solver.evolve_with_residuals(state, 20, sample_every=10), 81),
+        (lambda solver, state: solver.evolve_with_residuals(state, 7, sample_every=3, rows=True), 29),
+    ],
+    ids=["evolve-10", "evolve-0", "residuals-20-every-10", "residuals-7-every-3"],
+)
+def test_a_sample_shares_its_products_with_the_step_that_follows(rng, grid, product_count, call, expected):
+    # four nonlinearities a step, of which a sampled instant's products are
+    # the first; the residuals at the last instant, which no step follows,
+    # cost one more
+    call(HalfWaveSolver(grid), random_diagonal_state(rng, grid))
+    assert len(product_count) == expected
+
+
+def test_samples_yield_read_only_spectra_at_the_sampled_steps(rng, grid):
+    seen = []
+    for step, spectra, products in HalfWaveSolver(grid).samples(random_diagonal_state(rng, grid), 7, 3):
+        seen.append((step, products is None))
+        with pytest.raises(ValueError, match="read-only"):
+            spectra[...] = 0.0
+    assert seen == [(0, False), (3, False), (6, False), (7, True)]
