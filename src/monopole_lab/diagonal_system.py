@@ -42,8 +42,9 @@ step agrees to rounding with a projected IF-RK4 on the matrix pairs;
 tests enforce this.
 
 One loop, the generator HalfWaveSolver.samples, steps the engine and
-yields the spectra at sampled instants; evolve, evolve_with_residuals and
-the CLI's simulate consume it, and nothing else calls the step.
+yields read-only spectra and products at sampled instants, and pairs turns
+the spectra into u and v; evolve, evolve_with_residuals and the CLI's
+simulate consume it, and nothing else calls the step.
 
 Residuals are read off the engine's own rates.  On them the Lorenz
 constraint is an identity, and each of the three evolution rows reduces
@@ -116,7 +117,8 @@ class ResidualRecord:
 
 
 def state_max_abs(state):
-    return max(float(np.max(np.abs(c))) for c in state.components())
+    """The largest entry of the four components; nan if any entry is nan."""
+    return float(np.max([np.max(np.abs(c)) for c in state.components()]))
 
 
 def state_distance(a, b):
@@ -268,9 +270,12 @@ class HalfWaveSolver:
         state's largest entry, one pair at a time; a ValueError names the
         test that failed.  Nyquist rounding that passes is zeroed.
         """
+        peak = state_max_abs(state)
+        if not np.isfinite(peak):
+            raise ValueError(f"finite test failed: the state's largest entry is {peak}")
         self._set_rank(state.u_plus.shape[-1])
         basis = self._basis
-        tol = 1e-12 * max(state_max_abs(state), 1e-30)
+        tol = 1e-12 * max(peak, 1e-30)
         nyq = self.grid.n_points // 2
         y = np.empty((2, 2, len(basis), *self._mag_r.shape), dtype=np.complex128)
         for w, (name, plus, minus) in enumerate(
@@ -304,18 +309,23 @@ class HalfWaveSolver:
         np.multiply(h2, pair_hat[0], out=r_hat[1])
         r_hat[1] -= h1 * pair_hat[1]
         r_hat *= -1j
-        n = self.grid.n_points
-        rc = _fft.irfft2(r_hat, s=(n, n), axes=(-2, -1), norm="ortho")
-        return from_coefficients(np.moveaxis(0.5 * (c + 1j * rc), 1, -1), self._basis)
+        return self._matrices(0.5 * (c + 1j * self._fields(r_hat)))
+
+    def _fields(self, spec):
+        """Physical fields of half spectra on the last two axes: the engine's one inverse transform."""
+        return _fft.irfft2(spec, s=(self.grid.n_points,) * 2, axes=(-2, -1), norm="ortho")
+
+    def _matrices(self, c):
+        """The basis sums of pair coefficients c, (2, d, N, N), with grid axes in front."""
+        return from_coefficients(np.moveaxis(c, 1, -1), self._basis)
 
     def _to_state(self, y):
         """Split each pair into its half waves: P+- c = (c +- i R c) / 2."""
-        n = self.grid.n_points
         comps = []
         for pair_hat in y:
-            c = _fft.irfft2(pair_hat, s=(n, n), axes=(-2, -1), norm="ortho")
+            c = self._fields(pair_hat)
             plus = self._plus_part(c, pair_hat)
-            minus = from_coefficients(np.moveaxis(c, 1, -1), self._basis)
+            minus = self._matrices(c)
             minus -= plus
             comps += [plus, minus]
         return DiagonalState(self.grid, *comps)
@@ -360,8 +370,7 @@ class HalfWaveSolver:
         Shape (3, d, N, N//2+1), not dealiased.  The first row of N(v, u)
         is minus that of N(u, v), so it is not transformed again.
         """
-        n = self.grid.n_points
-        u, v = _fft.irfft2(y, s=(n, n), axes=(-2, -1), norm="ortho")
+        u, v = self._fields(y)
         prod, tmp, table = self._prod, self._tmp, self._table
         _bracket(table, u[0], v[0], prod[0], tmp)
         _bracket(table, u[1], v[1], prod[1], tmp)
@@ -383,16 +392,15 @@ class HalfWaveSolver:
     def _nonlinearity(self, y, n_hat=None):
         """Dealiased N(u, v) and N(v, u) of coefficient spectra.
 
-        n_hat, the _products of y when they are already known, is
-        dealiased in place.
+        n_hat, the _products of y when they are already known, is only read.
         """
-        n_hat = self._dealias(self._products(y) if n_hat is None else n_hat)
+        n_hat = self._products(y) if n_hat is None else n_hat
         out = np.empty_like(y)
         out[0, 0] = n_hat[0]
         out[0, 1] = n_hat[1]
         np.negative(n_hat[0], out=out[1, 0])
         out[1, 1] = n_hat[2]
-        return out
+        return self._dealias(out)
 
     def _step(self, y, h, k1=None):
         """IF-RK4 in the co-moving frame with only the half-step propagator E.
@@ -429,32 +437,28 @@ class HalfWaveSolver:
 
     # rates and residuals -------------------------------------------------------
 
-    def _lorenz_sup(self, y, n_hat):
-        """Gauge residual on the first rows of the engine's rates; n_hat are the undealiased _products."""
+    def _lorenz_sup(self, y, n0):
+        """Gauge residual on the first rows of the engine's rates, whose bracket term n0 is dealiased."""
         kx, ky = self._kx_r, self._ky_r
-        n0 = self._dealias(n_hat[0].copy())
         res_hat = 0.5 * (
             (1j * (kx * y[0, 0] + ky * y[0, 1]) + n0) + (-1j * (kx * y[1, 0] + ky * y[1, 1]) - n0)
             - 1j * kx * (y[0, 0] - y[1, 0])
             - 1j * ky * (y[0, 1] - y[1, 1])
         )
-        n = self.grid.n_points
-        res = _fft.irfft2(res_hat, s=(n, n), axes=(-2, -1), norm="ortho")
+        res = self._fields(res_hat)
         # Frobenius norm: the basis is orthonormal
         return float(np.max(np.sqrt(np.sum(res * res, axis=0))))
 
-    def _row_sups(self, n_hat):
+    def _row_sups(self, drop):
         """Sup norms of the three evolution-row residuals on the engine's rates.
 
         On those rates the gradient terms cancel and each row is, up to
         sign, what the two-thirds rule drops from its bracket term:
         ([u1, u0] + [v1, v0]) / 2 for phi, ([u0, v0] + [u1, v1]) / 2 for a1 and
-        ([u1, u0] - [v1, v0]) / 2 for a2.  n_hat are the undealiased _products.
+        ([u1, u0] - [v1, v0]) / 2 for a2.  drop is that part of the _products.
         """
-        drop = n_hat - self._dealias(n_hat.copy())
         rows_hat = np.stack([0.5 * (drop[1] + drop[2]), drop[0], 0.5 * (drop[1] - drop[2])])
-        n = self.grid.n_points
-        rows = _fft.irfft2(rows_hat, s=(n, n), axes=(-2, -1), norm="ortho")
+        rows = self._fields(rows_hat)
         # Frobenius norm: the basis is orthonormal
         return np.max(np.sqrt(np.sum(rows * rows, axis=1)), axis=(-2, -1))
 
@@ -475,24 +479,30 @@ class HalfWaveSolver:
 
         It yields at step 0, every sample_every-th step and the last step.
         spectra are a read-only view of the coefficient spectra of (u, v),
-        which later steps overwrite; products are their undealiased
-        _products, which the next step takes as its k1, or None at the last
-        step.  Kept past the loop body, products hold their memory.
+        which later steps overwrite and pairs turns into u and v; products,
+        read-only too, are their undealiased _products, which the next step
+        reads as its k1, or None at the last step.  Kept past the loop body,
+        products hold their memory.  Entry spectra past the limit fail at step 0.
         """
         _require_count("n_steps", n_steps, 0)
         _require_count("sample_every", sample_every, 1)
         h = self.grid.dt if h is None else h
         y = self._to_coeffs(state)
+        _check_finite(y, 0, h)
         for i in range(n_steps):
             k1 = None
             if i % sample_every == 0:
                 products = self._products(y)
-                yield i, np.broadcast_to(y, y.shape), products  # a read-only view
+                yield i, np.broadcast_to(y, y.shape), np.broadcast_to(products, products.shape)
                 k1 = self._nonlinearity(y, products)
                 del products
             y = self._step(y, h, k1)
             _check_finite(y, i + 1, h)
         yield n_steps, np.broadcast_to(y, y.shape), None
+
+    def pairs(self, spectra):
+        """The pairs (u, v), each (2, N, N, n, n), of the coefficient spectra that samples yields."""
+        return tuple(self._matrices(c) for c in self._fields(spectra))
 
     def evolve(self, state, n_steps, h=None):
         """Advance n_steps IF-RK4 steps of size h (default grid.dt), sampling the two ends only."""
@@ -510,12 +520,13 @@ class HalfWaveSolver:
         """
         times, lorenz_vals, row_vals = [], [], []
         for i, y, n_hat in self.samples(state, n_steps, sample_every):
-            if n_hat is None:
-                n_hat = self._products(y)
-            if rows:
-                row_vals.append(self._row_sups(n_hat))
+            n_hat = self._products(y) if n_hat is None else n_hat
+            kept = self._dealias(n_hat.copy())
             times.append(i * self.grid.dt)
-            lorenz_vals.append(self._lorenz_sup(y, n_hat))
+            lorenz_vals.append(self._lorenz_sup(y, kept[0]))
+            if rows:  # the dropped part, in place of the kept one
+                row_vals.append(self._row_sups(np.subtract(n_hat, kept, out=kept)))
+            del n_hat, kept  # not kept through the steps that follow
         record = ResidualRecord(
             times=np.array(times),
             lorenz=np.array(lorenz_vals),

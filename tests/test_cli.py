@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,27 @@ def test_a_blow_up_names_its_step_in_the_run_and_its_component(tmp_path, capsys,
     # the blow-up is charged to the evolution, not to a check of its output
     assert f"[{command}] finite_evolution: FAIL (solution blew up at step 5" in printed
     assert "lorenz_constraint" not in printed
+
+
+@pytest.mark.parametrize("command", ["simulate", "residuals"])
+def test_data_past_the_divergence_limit_fail_at_step_0_without_a_warning(tmp_path, capsys, command):
+    # the entry spectra are checked against the limit before any step, so
+    # no arithmetic overflows and the message names the real coefficient
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--out", str(tmp_path), "amplitude=1e300", "steps=3"]) == 1
+    printed = capsys.readouterr().out
+    assert f"[{command}] finite_evolution: FAIL (solution blew up at step 0, t=0:" in printed
+    assert "(max coefficient 1.07e+301)" in printed
+
+
+def test_simulate_and_residuals_report_the_same_final_pairs(tmp_path, capsys):
+    details = []
+    for command in ("simulate", "residuals"):
+        assert main([command, "--out", str(tmp_path / command)]) == 0
+        printed = capsys.readouterr().out
+        details.append(printed.split(f"[{command}] finite_evolution: ")[1].splitlines()[0])
+    assert details == ["PASS (max |u|, |v| = 7.651153e-01)"] * 2
 
 
 @pytest.mark.parametrize("command", ["simulate", "residuals"])

@@ -329,6 +329,9 @@ def test_fast_engine_rejects_inconsistent_states(rng):
     zero = np.zeros((2, n, n, 2, 2), dtype=complex)
     bump_hat = zero.copy()
     bump_hat[0, 1, 0] = e3
+    # one non-finite entry, in a plus and in a minus component
+    lone = np.zeros((n, n, 2, 2), dtype=bool)
+    lone[3, 4, 0, 1] = True
     # each state with the test that refuses it; the Nyquist, Hermitian and
     # trace states pass every other test of the gate
     refused = [
@@ -339,6 +342,8 @@ def test_fast_engine_rejects_inconsistent_states(rng):
         (added(0.0, trace), "anti-Hermitian and traceless"),
         (DiagonalState(grid, fft_inverse(bump_hat, grid), zero, zero, zero),
          "anti-Hermitian and traceless"),
+        (added(0.0, np.where(lone, np.nan, 0.0)), "finite"),
+        (added(np.where(lone, np.inf, 0.0), 0.0), "finite"),
     ]
     solver = HalfWaveSolver(grid)
     entries = (
@@ -514,3 +519,18 @@ def test_samples_yield_read_only_spectra_at_the_sampled_steps(rng, grid):
         with pytest.raises(ValueError, match="read-only"):
             spectra[...] = 0.0
     assert seen == [(0, False), (3, False), (6, False), (7, True)]
+
+
+def test_yielded_products_stay_as_they_were_yielded(rng, grid):
+    # the step that follows a sample reads its products as k1 and writes
+    # nothing into them, so a consumer may keep them past its loop body
+    state = random_diagonal_state(rng, grid, amplitude=0.4)
+    kept = []
+    for _, _, products in HalfWaveSolver(grid).samples(state, 4, 2):
+        if products is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                products[...] = 0.0
+            kept.append((products, products.copy()))
+    assert len(kept) == 2
+    for products, at_yield in kept:
+        assert np.array_equal(products, at_yield)
