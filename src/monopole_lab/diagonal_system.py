@@ -17,13 +17,16 @@ fixed-point iteration on the same time grid is provided as an
 independent cross-check of the time stepper.
 
 One engine implements the step, for su(n) pairs of any rank n read off
-the state.  It evolves the unsplit pairs in the coefficients of the
-orthonormal su_basis(n): physical fields are real d-vectors c,
-d = n^2 - 1, the bracket is [x, y]_c = f_abc x_a y_b with the structure
-constants f of that basis, and the transforms are half-spectrum.  Entry
-and exit stay in that basis.  Let R be the operator with the real symbol
--i alpha . xi / |xi| (zero at xi = 0), acting on the pair index; R c is
-a real field and the half waves are
+each array it is given.  The solver holds only its grid's tables and,
+per rank, the basis and its structure constants, so one solver serves
+any rank and several sample streams at once.  It evolves the unsplit
+pairs in the coefficients of the orthonormal su_basis(n): physical
+fields are real d-vectors c, d = n^2 - 1, the bracket is
+[x, y]_c = f_abc x_a y_b with the structure constants f of that basis,
+and the transforms are half-spectrum.  Entry and exit stay in that
+basis.  Let R be the operator with the real symbol -i alpha . xi / |xi|
+(zero at xi = 0), acting on the pair index; R c is a real field and the
+half waves are
     P_pm c = (c pm i R c) / 2.
 The entry accepts only pairs that equal the basis sum of their
 coefficients (anti-Hermitian and traceless), have empty Nyquist lines,
@@ -58,6 +61,7 @@ component.  Internally the coefficient spectra have shape
 so the transforms act on contiguous memory.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,16 +199,12 @@ def random_diagonal_state(rng, grid, n=2, amplitude=0.25, kmax=None):
     return diagonal_split(grid, *to_uv(cfg))
 
 
-def _bracket(table, x, y, out, tmp):
+def _bracket(table, x, y, out):
     """out = [x, y] over the leading coefficient axis: each entry (a, b, c, f)
-    of the table adds f (x_a y_b - x_b y_a) to out_c; tmp is two scratch fields."""
+    of the table adds f (x_a y_b - x_b y_a) to out_c."""
     out.fill(0.0)
     for a, b, c, f in table:
-        np.multiply(x[a], y[b], out=tmp[0])
-        np.multiply(x[b], y[a], out=tmp[1])
-        tmp[0] -= tmp[1]
-        tmp[0] *= f
-        out[c] += tmp[0]
+        out[c] += f * (x[a] * y[b] - x[b] * y[a])
 
 
 def _require(test, what, defect, tol):
@@ -242,20 +242,16 @@ class HalfWaveSolver:
             np.where(self._mag_r == 0.0, 0.0, self._ky_r / safe),
         )
         self._propagators = {}
-        self._rank = None
+        self._lie_tables = {}
 
-    def _set_rank(self, n):
-        """su_basis(n), its nonzero f_abc with a < b and the step's scratch, once per rank."""
-        if n == self._rank:
-            return
-        self._rank, self._basis = n, su_basis(n)
-        f = structure_constants(self._basis)
-        self._table = [(a, b, c, f[a, b, c]) for a, b, c in np.argwhere(np.abs(f) > 1e-12) if a < b]
-        size, d = self.grid.n_points, len(self._basis)
-        # the 3d product fields of the nonlinearity, and partial results
-        self._prod = np.empty((3, d, size, size))
-        self._tmp = np.empty((2, size, size))
-        self._spec_tmp = np.empty((d, *self._mag_r.shape), dtype=np.complex128)
+    def _lie(self, d):
+        """su_basis(n) for d = n^2 - 1 coefficients and its nonzero f_abc with a < b, built once per rank."""
+        if d not in self._lie_tables:
+            basis = su_basis(math.isqrt(d + 1))
+            f = structure_constants(basis)
+            table = [(a, b, c, f[a, b, c]) for a, b, c in np.argwhere(np.abs(f) > 1e-12) if a < b]
+            self._lie_tables[d] = basis, table
+        return self._lie_tables[d]
 
     # entry and exit ------------------------------------------------------------
 
@@ -273,8 +269,7 @@ class HalfWaveSolver:
         peak = state_max_abs(state)
         if not np.isfinite(peak):
             raise ValueError(f"finite test failed: the state's largest entry is {peak}")
-        self._set_rank(state.u_plus.shape[-1])
-        basis = self._basis
+        basis = self._lie(state.u_plus.shape[-1] ** 2 - 1)[0]
         tol = 1e-12 * max(peak, 1e-30)
         nyq = self.grid.n_points // 2
         y = np.empty((2, 2, len(basis), *self._mag_r.shape), dtype=np.complex128)
@@ -317,7 +312,7 @@ class HalfWaveSolver:
 
     def _matrices(self, c):
         """The basis sums of pair coefficients c, (2, d, N, N), with grid axes in front."""
-        return from_coefficients(np.moveaxis(c, 1, -1), self._basis)
+        return from_coefficients(np.moveaxis(c, 1, -1), self._lie(c.shape[1])[0])
 
     def _to_state(self, y):
         """Split each pair into its half waves: P+- c = (c +- i R c) / 2."""
@@ -356,7 +351,7 @@ class HalfWaveSolver:
     def _propagate(self, e, y, out=None):
         """Apply the per-mode 2 x 2 propagators e to the pair index of u and v."""
         out = np.empty_like(y) if out is None else out
-        tmp = self._spec_tmp
+        tmp = np.empty_like(y[0, 0])
         for w in range(2):
             for i in range(2):
                 np.multiply(e[w, i, 0], y[w, 0], out=out[w, i])
@@ -371,13 +366,14 @@ class HalfWaveSolver:
         is minus that of N(u, v), so it is not transformed again.
         """
         u, v = self._fields(y)
-        prod, tmp, table = self._prod, self._tmp, self._table
-        _bracket(table, u[0], v[0], prod[0], tmp)
-        _bracket(table, u[1], v[1], prod[1], tmp)
+        table = self._lie(y.shape[2])[1]
+        prod = np.empty((3, *u.shape[1:]))
+        _bracket(table, u[0], v[0], prod[0])
+        _bracket(table, u[1], v[1], prod[1])
         prod[0] += prod[1]
         prod[0] *= 0.5
-        _bracket(table, u[1], u[0], prod[1], tmp)
-        _bracket(table, v[1], v[0], prod[2], tmp)
+        _bracket(table, u[1], u[0], prod[1])
+        _bracket(table, v[1], v[0], prod[2])
         return _fft.rfft2(prod, axes=(-2, -1), norm="ortho")
 
     def _dealias(self, n_hat):

@@ -280,13 +280,33 @@ def test_evolve_matches_reference_stepper_su3(rng):
 
 
 def test_one_solver_follows_the_rank_of_each_state(rng, grid):
-    # the basis, the bracket table and the scratch buffers are read off each
-    # state that enters, so alternating ranks match fresh solvers exactly
+    # each rank's basis and bracket table are built once and kept, and the
+    # solver holds nothing else that depends on the rank, so alternating
+    # ranks match fresh solvers exactly
     su2 = random_diagonal_state(rng, grid, n=2, amplitude=0.4)
     su3 = random_diagonal_state(rng, grid, n=3, amplitude=0.4)
     solver = HalfWaveSolver(grid)
     for state in (su2, su3, su2):
         assert state_distance(solver.evolve(state, 3), HalfWaveSolver(grid).evolve(state, 3)) == 0.0
+
+
+def test_one_solver_serves_interleaved_streams_of_two_ranks(rng, grid):
+    # an su(2) and an su(3) stream resumed in turn on one solver yield, at
+    # every sample, the spectra and pairs of each stream alone on a fresh solver
+    states = [random_diagonal_state(rng, grid, n=n, amplitude=0.4) for n in (2, 3)]
+    alone = []
+    for state in states:
+        solver = HalfWaveSolver(grid)
+        alone.append([(spectra.copy(), solver.pairs(spectra)) for _, spectra, _ in solver.samples(state, 4, 2)])
+    solver = HalfWaveSolver(grid)
+    streams = [solver.samples(state, 4, 2) for state in states]
+    for k in range(3):
+        for stream, expected in zip(streams, alone):
+            _, spectra, _ = next(stream)
+            assert np.array_equal(spectra, expected[k][0])
+            for got, want in zip(solver.pairs(spectra), expected[k][1], strict=True):
+                assert np.array_equal(got, want)
+    assert [next(stream, None) for stream in streams] == [None, None]
 
 
 def test_reference_gap_catches_a_flipped_propagator_sign(rng, monkeypatch):
