@@ -34,7 +34,7 @@ from .cone_quadrature import (
     plus_kernel_sweep,
     sweep_max,
 )
-from .diagonal_system import HalfWaveSolver, random_diagonal_state
+from .diagonal_system import HalfWaveSolver, engine_threads, random_diagonal_state
 from .errors import DivergedError
 from .fl_norms import (
     NormParams,
@@ -441,7 +441,7 @@ _RUNNERS = {
 COMMANDS = tuple(_RUNNERS)
 
 
-def _write_manifest(out_dir, config, checks, wall_time, status):
+def _write_manifest(out_dir, config, grid, checks, wall_time, status):
     from . import __version__
 
     path = os.path.join(out_dir, "manifest.txt")
@@ -454,6 +454,8 @@ def _write_manifest(out_dir, config, checks, wall_time, status):
         fh.write(f"scipy_version = {scipy.__version__}\n")
         fh.write(f"python_version = {platform.python_version()}\n")
         fh.write(f"wall_time_s = {wall_time:.3f}\n")
+        if config.command in ("simulate", "residuals"):
+            fh.write(f"engine_threads = {engine_threads(grid)}\n")
         for name, passed, detail in checks:
             fh.write(f"check_{name} = {'PASS' if passed else 'FAIL'} ({detail})\n")
         fh.write(f"status = {status}\n")
@@ -482,7 +484,7 @@ def run(config):
         for name, (header, rows) in tables.items():
             _write_csv(os.path.join(out_dir, name), header, rows)
         _write_plot_script(out_dir, tables)
-        _write_manifest(out_dir, config, checks, time.perf_counter() - started, status)
+        _write_manifest(out_dir, config, grid, checks, time.perf_counter() - started, status)
     except OSError as err:
         raise UsageError(f"cannot write {err.filename or out_dir!r}: {err.strerror}") from None
     for name, passed, detail in checks:

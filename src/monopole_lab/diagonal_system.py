@@ -49,6 +49,17 @@ yields read-only spectra and products at sampled instants, and pairs turns
 the spectra into u and v; evolve, evolve_with_residuals and the CLI's
 simulate consume it, and nothing else calls the step.
 
+The step runs in two lanes, one per pair, that meet only where the pairs
+couple: inside each nonlinearity, lane w transforms pair w back and takes
+its own bracket and one cross term, and each lane transforms half of the
+products forward; between nonlinearities each lane propagates and updates
+its own pair.  On grids of _THREADED_MIN_POINTS = 128 points per side and
+more the v lane runs on one worker thread per process, made on the first
+such step, while the u lane runs on the caller's thread; below that both
+run on the caller's thread, u first.  The lanes write disjoint slices, so
+both schedules give the same bits.  Entry and exit stay serial, and every
+FFT runs on scipy's default of one worker.
+
 Residuals are read off the engine's own rates.  On them the Lorenz
 constraint is an identity, and each of the three evolution rows reduces
 to the part of its bracket term that the two-thirds rule drops, so the
@@ -62,6 +73,8 @@ so the transforms act on contiguous memory.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +87,42 @@ from .lie import bracket, coefficients, from_coefficients, structure_constants, 
 
 # a step whose largest coefficient exceeds this raises DivergedError
 _DIVERGENCE_LIMIT = 1e6
+
+# grids with at least this many points per side run the v lane of the step
+# on the lane thread; below it a hand-off (about 40 us) costs more than the
+# second core saves, and su(3)'s bracket loop holds the interpreter lock
+_THREADED_MIN_POINTS = 128
+
+# The lane thread: one per process whatever the number of solvers and
+# streams, made on the first threaded step, so importing the package and
+# building a solver start no thread.
+_lane = None
+_lane_lock = threading.Lock()
+
+
+def _lane_executor():
+    global _lane
+    with _lane_lock:
+        if _lane is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _lane = ThreadPoolExecutor(1, thread_name_prefix="monopole-lab-lane")
+        return _lane
+
+
+def _forget_lane():
+    """A forked child has no lane thread: its first threaded step makes one."""
+    global _lane, _lane_lock
+    _lane, _lane_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_lane)
+
+
+def engine_threads(grid):
+    """Threads the HalfWaveSolver step runs on for this grid: 2 from 128 points per side, else 1."""
+    return 2 if grid.n_points >= _THREADED_MIN_POINTS else 1
 
 
 @dataclass
@@ -201,10 +250,19 @@ def random_diagonal_state(rng, grid, n=2, amplitude=0.25, kmax=None):
 
 def _bracket(table, x, y, out):
     """out = [x, y] over the leading coefficient axis: each entry (a, b, c, f)
-    of the table adds f (x_a y_b - x_b y_a) to out_c."""
-    out.fill(0.0)
+    of the table adds f (x_a y_b - x_b y_a) to out_c, and the first entry
+    of each c writes out_c.  An su(n) table has an entry for every c."""
+    term, other = np.empty((2, *out.shape[1:]))
+    written = set()
     for a, b, c, f in table:
-        out[c] += f * (x[a] * y[b] - x[b] * y[a])
+        t = term if c in written else out[c]
+        np.multiply(x[a], y[b], out=t)
+        np.multiply(x[b], y[a], out=other)
+        t -= other
+        t *= f
+        if c in written:
+            out[c] += t
+        written.add(c)
 
 
 def _require(test, what, defect, tol):
@@ -243,6 +301,7 @@ class HalfWaveSolver:
         )
         self._propagators = {}
         self._lie_tables = {}
+        self._threaded = engine_threads(grid) == 2
 
     def _lie(self, d):
         """su_basis(n) for d = n^2 - 1 coefficients and its nonzero f_abc with a < b, built once per rank."""
@@ -306,9 +365,16 @@ class HalfWaveSolver:
         r_hat *= -1j
         return self._matrices(0.5 * (c + 1j * self._fields(r_hat)))
 
-    def _fields(self, spec):
-        """Physical fields of half spectra on the last two axes: the engine's one inverse transform."""
-        return _fft.irfft2(spec, s=(self.grid.n_points,) * 2, axes=(-2, -1), norm="ortho")
+    def _fields(self, spec, overwrite=False):
+        """Physical fields of half spectra on the last two axes: the engine's one inverse transform.
+
+        Bitwise irfft2 with norm="ortho", without its full-size temporary:
+        the unscaled inverse along axis -2, then irfft along -1, which
+        applies the factor 1/N in the last pass as irfft2 does.  With
+        overwrite the first pass may write into spec.
+        """
+        half = _fft.ifft(spec, axis=-2, norm="forward", overwrite_x=overwrite)
+        return _fft.irfft(half, n=self.grid.n_points, axis=-1, norm="backward", overwrite_x=True)
 
     def _matrices(self, c):
         """The basis sums of pair coefficients c, (2, d, N, N), with grid axes in front."""
@@ -349,32 +415,79 @@ class HalfWaveSolver:
         return e
 
     def _propagate(self, e, y, out=None):
-        """Apply the per-mode 2 x 2 propagators e to the pair index of u and v."""
+        """Apply the per-mode 2 x 2 propagators to the pair index: e[w] to
+        pair w of u and v, or e of shape (2, 2, N, N//2+1) to one pair y."""
         out = np.empty_like(y) if out is None else out
-        tmp = np.empty_like(y[0, 0])
-        for w in range(2):
-            for i in range(2):
-                np.multiply(e[w, i, 0], y[w, 0], out=out[w, i])
-                np.multiply(e[w, i, 1], y[w, 1], out=tmp)
-                out[w, i] += tmp
+        if e.ndim == 5:
+            for w in range(2):
+                self._propagate(e[w], y[w], out[w])
+            return out
+        tmp = np.empty_like(y[0])
+        for i in range(2):
+            np.multiply(e[i, 0], y[0], out=out[i])
+            np.multiply(e[i, 1], y[1], out=tmp)
+            out[i] += tmp
         return out
 
-    def _products(self, y):
+    def _lanes(self, lane):
+        """Run lane(0) for u and lane(1) for v, and return when both are done.
+
+        On a threaded grid lane(1) runs on the lane thread while lane(0)
+        runs here, and an error of either lane is raised once both have
+        finished; otherwise they run here one after the other.  Each lane
+        writes only its own slices, so both schedules give the same bits.
+        A lane never calls _lanes.
+        """
+        if not self._threaded:
+            lane(0)
+            lane(1)
+            return
+        other = _lane_executor().submit(lane, 1)
+        try:
+            lane(0)
+        finally:
+            other.exception()  # waits for the v lane, whatever the u lane did
+        other.result()
+
+    def _products(self, y, overwrite=False):
         """Spectra of the brackets ([u0, v0] + [u1, v1]) / 2, [u1, u0] and [v1, v0].
 
         Shape (3, d, N, N//2+1), not dealiased.  The first row of N(v, u)
-        is minus that of N(u, v), so it is not transformed again.
+        is minus that of N(u, v), so it is not transformed again.  Lane w
+        transforms pair w back (into y[w] itself with overwrite), then
+        takes its own bracket and the cross term [u_w, v_w]; the u lane
+        sums the cross terms into the first row, and each lane transforms
+        half of the 3d product fields forward.
         """
-        u, v = self._fields(y)
-        table = self._lie(y.shape[2])[1]
-        prod = np.empty((3, *u.shape[1:]))
-        _bracket(table, u[0], v[0], prod[0])
-        _bracket(table, u[1], v[1], prod[1])
-        prod[0] += prod[1]
-        prod[0] *= 0.5
-        _bracket(table, u[1], u[0], prod[1])
-        _bracket(table, v[1], v[0], prod[2])
-        return _fft.rfft2(prod, axes=(-2, -1), norm="ortho")
+        d, n = y.shape[2], self.grid.n_points
+        table = self._lie(d)[1]
+        fields = [None, None]
+        prod = np.empty((3, d, n, n))
+        cross = np.empty((d, n, n))
+        n_hat = np.empty((3, d, n, n // 2 + 1), dtype=np.complex128)
+        # the first row, which the u lane sums, lies in its half
+        halves = (slice(None, 3 * d // 2), slice(3 * d // 2, None))
+
+        def inverse(w):
+            fields[w] = self._fields(y[w], overwrite)
+
+        def brackets(w):
+            _bracket(table, fields[w][1], fields[w][0], prod[1 + w])
+            _bracket(table, fields[0][w], fields[1][w], cross if w else prod[0])
+
+        def forward(w):
+            if w == 0:
+                prod[0] += cross
+                prod[0] *= 0.5
+            part = halves[w]
+            n_hat.reshape(3 * d, n, -1)[part] = _fft.rfft2(
+                prod.reshape(3 * d, n, n)[part], axes=(-2, -1), norm="ortho"
+            )
+
+        self._lanes(inverse)
+        self._lanes(brackets)
+        self._lanes(forward)
+        return n_hat
 
     def _dealias(self, n_hat):
         """Two-thirds rule as in grid.dealias_mask, in place: zero the slabs
@@ -385,6 +498,15 @@ class HalfWaveSolver:
         n_hat[..., cut + 1 :] = 0.0
         return n_hat
 
+    def _pack(self, n_hat, w, out):
+        """Dealiased N(u, v) (w = 0) or N(v, u) (w = 1) of the _products n_hat, into out; n_hat is only read."""
+        if w == 0:
+            out[0] = n_hat[0]
+        else:
+            np.negative(n_hat[0], out=out[0])
+        out[1] = n_hat[1 + w]
+        return self._dealias(out)
+
     def _nonlinearity(self, y, n_hat=None):
         """Dealiased N(u, v) and N(v, u) of coefficient spectra.
 
@@ -392,11 +514,9 @@ class HalfWaveSolver:
         """
         n_hat = self._products(y) if n_hat is None else n_hat
         out = np.empty_like(y)
-        out[0, 0] = n_hat[0]
-        out[0, 1] = n_hat[1]
-        np.negative(n_hat[0], out=out[1, 0])
-        out[1, 1] = n_hat[2]
-        return self._dealias(out)
+        for w in range(2):
+            self._pack(n_hat, w, out[w])
+        return out
 
     def _step(self, y, h, k1=None):
         """IF-RK4 in the co-moving frame with only the half-step propagator E.
@@ -405,30 +525,46 @@ class HalfWaveSolver:
             k2 = N(a + h/2 E k1),  k3 = N(a + h/2 k2),  k4 = N(E (a + h k3)),
             y' = E (a + h/6 E k1 + h/3 (k2 + k3)) + h/6 k4,
         and each stage is added into the sum once known; y' overwrites y.
+        Between nonlinearities lane w updates pair w alone; the stage
+        arguments, rewritten next, are transformed in place.
         """
         e = self._half_propagator(h)
-        if k1 is None:
-            k1 = self._nonlinearity(y)
-        a = self._propagate(e, y)
-        acc = self._propagate(e, k1)
-        arg = acc * (0.5 * h)
-        arg += a
-        acc *= h / 6.0
-        acc += a
-        k = self._nonlinearity(arg)  # k2
-        k *= h / 3.0
-        acc += k
-        np.multiply(k, 1.5, out=arg)  # h/2 k2
-        arg += a
-        k = self._nonlinearity(arg)  # k3
-        k *= h / 3.0
-        acc += k
-        np.multiply(k, 3.0, out=arg)  # h k3
-        arg += a
-        k = self._nonlinearity(self._propagate(e, arg))  # k4
-        self._propagate(e, acc, out=y)
-        k *= h / 6.0
-        y += k
+        a, acc, arg, k = (np.empty_like(y) for _ in range(4))
+        n_hat = self._products(y) if k1 is None else None
+
+        def first(w):
+            k1_w = self._pack(n_hat, w, k[w]) if k1 is None else k1[w]
+            self._propagate(e[w], y[w], a[w])
+            self._propagate(e[w], k1_w, acc[w])
+            np.multiply(acc[w], 0.5 * h, out=arg[w])
+            arg[w] += a[w]
+            acc[w] *= h / 6.0
+            acc[w] += a[w]
+
+        def middle(w, scale):
+            k_w = self._pack(n_hat, w, k[w])  # k2 or k3
+            k_w *= h / 3.0
+            acc[w] += k_w
+            np.multiply(k_w, scale, out=arg[w])  # h/2 k2 or h k3
+            arg[w] += a[w]
+
+        def third(w):
+            middle(w, 3.0)
+            self._propagate(e[w], arg[w], k[w])
+
+        def last(w):
+            k_w = self._pack(n_hat, w, k[w])  # k4
+            self._propagate(e[w], acc[w], y[w])
+            k_w *= h / 6.0
+            y[w] += k_w
+
+        self._lanes(first)
+        n_hat = self._products(arg, overwrite=True)  # k2
+        self._lanes(lambda w: middle(w, 1.5))
+        n_hat = self._products(arg, overwrite=True)  # k3
+        self._lanes(third)
+        n_hat = self._products(k, overwrite=True)  # k4, of E (a + h k3)
+        self._lanes(last)
         return y
 
     # rates and residuals -------------------------------------------------------

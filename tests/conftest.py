@@ -26,9 +26,9 @@ def product_count(monkeypatch):
     calls = []
     products = diagonal_system.HalfWaveSolver._products
 
-    def counted(self, y):
+    def counted(self, y, overwrite=False):
         calls.append(None)
-        return products(self, y)
+        return products(self, y, overwrite)
 
     monkeypatch.setattr(diagonal_system.HalfWaveSolver, "_products", counted)
     return calls

@@ -536,6 +536,13 @@ def test_probe_bilinear_small_run(tmp_path):
     assert all(float(row[6]) > 0 for row in rows[1:])
 
 
+@pytest.mark.parametrize("command", ["simulate", "residuals"])
+@pytest.mark.parametrize("n, threads", [(32, "1"), (128, "2")])
+def test_engine_manifests_record_the_step_threads(tmp_path, command, n, threads):
+    assert main([command, "--out", str(tmp_path), f"n={n}", "steps=2"]) == 0
+    assert read_manifest(tmp_path / "manifest.txt")["engine_threads"] == threads
+
+
 def test_manifest_records_versions_and_config_echo(tmp_path):
     out = tmp_path / "run"
     assert main(["scaling", "--out", str(out), "--seed", "6", "n=16"]) == 0
