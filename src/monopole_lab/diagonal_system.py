@@ -507,35 +507,23 @@ class HalfWaveSolver:
         out[1] = n_hat[1 + w]
         return self._dealias(out)
 
-    def _nonlinearity(self, y, n_hat=None):
-        """Dealiased N(u, v) and N(v, u) of coefficient spectra.
-
-        n_hat, the _products of y when they are already known, is only read.
-        """
-        n_hat = self._products(y) if n_hat is None else n_hat
-        out = np.empty_like(y)
-        for w in range(2):
-            self._pack(n_hat, w, out[w])
-        return out
-
-    def _step(self, y, h, k1=None):
+    def _step(self, y, h, n_hat):
         """IF-RK4 in the co-moving frame with only the half-step propagator E.
 
         With E(h) = E(h/2)^2 and a = E y the step reads
             k2 = N(a + h/2 E k1),  k3 = N(a + h/2 k2),  k4 = N(E (a + h k3)),
             y' = E (a + h/6 E k1 + h/3 (k2 + k3)) + h/6 k4,
         and each stage is added into the sum once known; y' overwrites y.
+        n_hat, the _products of y that k1 is packed from, is only read.
         Between nonlinearities lane w updates pair w alone; the stage
         arguments, rewritten next, are transformed in place.
         """
         e = self._half_propagator(h)
         a, acc, arg, k = (np.empty_like(y) for _ in range(4))
-        n_hat = self._products(y) if k1 is None else None
 
         def first(w):
-            k1_w = self._pack(n_hat, w, k[w]) if k1 is None else k1[w]
             self._propagate(e[w], y[w], a[w])
-            self._propagate(e[w], k1_w, acc[w])
+            self._propagate(e[w], self._pack(n_hat, w, k[w]), acc[w])
             np.multiply(acc[w], 0.5 * h, out=arg[w])
             arg[w] += a[w]
             acc[w] *= h / 6.0
@@ -612,8 +600,8 @@ class HalfWaveSolver:
         It yields at step 0, every sample_every-th step and the last step.
         spectra are a read-only view of the coefficient spectra of (u, v),
         which later steps overwrite and pairs turns into u and v; products,
-        read-only too, are their undealiased _products, which the next step
-        reads as its k1, or None at the last step.  Kept past the loop body,
+        read-only too, are their undealiased _products, which the step reads
+        as its k1, or None at the last step.  Kept past the loop body,
         products hold their memory.  Entry spectra past the limit fail at step 0.
         """
         _require_count("n_steps", n_steps, 0)
@@ -622,13 +610,10 @@ class HalfWaveSolver:
         y = self._to_coeffs(state)
         _check_finite(y, 0, h)
         for i in range(n_steps):
-            k1 = None
+            products = self._products(y)
             if i % sample_every == 0:
-                products = self._products(y)
                 yield i, np.broadcast_to(y, y.shape), np.broadcast_to(products, products.shape)
-                k1 = self._nonlinearity(y, products)
-                del products
-            y = self._step(y, h, k1)
+            y = self._step(y, h, products)
             _check_finite(y, i + 1, h)
         yield n_steps, np.broadcast_to(y, y.shape), None
 
@@ -687,7 +672,11 @@ class HalfWaveSolver:
         for _ in range(n_iterations):
             g = np.empty_like(z)
             for j, e in enumerate(flows):
-                g[j] = self._propagate(e[::-1], self._nonlinearity(self._propagate(e, z[j])))
+                k = self._propagate(e, z[j])
+                n_hat = self._products(k)
+                for w in range(2):
+                    self._pack(n_hat, w, k[w])
+                g[j] = self._propagate(e[::-1], k)
             # cumulative_simpson is real-only, so integrate the parts
             integral = (
                 cumulative_simpson(g.real, x=times, axis=0, initial=0.0)

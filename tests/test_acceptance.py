@@ -234,9 +234,11 @@ def test_ac4_holds_for_su3_pairs():
 
 
 def test_ac4_su3_order_catches_a_first_order_step(monkeypatch):
-    def lawson_euler(self, y, h, k1=None):
+    def lawson_euler(self, y, h, n_hat):
         e = self._half_propagator(h)
-        k1 = self._nonlinearity(y) if k1 is None else k1
+        k1 = np.empty_like(y)
+        for w in range(2):
+            self._pack(n_hat, w, k1[w])
         return self._propagate(e, self._propagate(e, y + h * k1))
 
     monkeypatch.setattr(HalfWaveSolver, "_step", lawson_euler)

@@ -511,7 +511,8 @@ def test_residual_record_sampling_matches_every_step(rng):
     assert_allclose(sampled.times, every.times[::3], atol=0)
     assert_allclose(sampled.lorenz, every.lorenz[::3], rtol=1e-13, atol=0)
     assert_allclose(sampled.rows, every.rows[::3], rtol=1e-13, atol=0)
-    assert state_distance(final, every_final) < 1e-14 * state_max_abs(state)
+    # a sampled step and an unsampled one run the same code
+    assert state_distance(final, every_final) == 0.0
 
 
 @pytest.mark.parametrize(
