@@ -25,10 +25,15 @@ sums of one function over lattices offset by |xi| mod dtau.
 The weight <sigma>^b is analytic only in the strip |Im sigma| < 1, so
 those offset sums agree like exp(-2 pi / dtau): the native spacing
 pi / T_w of the window leaves a defect near 1e-5.  Since the samples
-are compactly supported in time, the transform zero-pads the window by
-the factor _TAU_PAD before the time FFT, refining dtau to
-pi / (_TAU_PAD T_w) and restoring spectral agreement.  Both sides of
-every comparison use the same padded lattice.
+are compactly supported in time, the time FFT takes _TAU_PAD n_t points
+along the last axis of a time-last view, so scipy zero-pads each time
+line, refining dtau to pi / (_TAU_PAD T_w) and restoring spectral
+agreement.  Both sides of every comparison use the same padded lattice.
+free_wave_sample stores its values time-last behind the (time, xi...)
+axes, so that view is contiguous.  The weight <-tau + sign |xi|>^b and
+the free-wave phases depend on xi only through |xi|: they are tabulated
+on the grid's distinct |xi| levels (GridSpec.kabs_levels) and gathered,
+so each point still gets the value of its own |xi|.
 
 The bilinear probe evaluates the angle-weighted convolution
 
@@ -101,20 +106,25 @@ class SpaceTimeSample:
 
 
 def _time_transform(values, t_window):
-    """Zero-padded time transform along axis 0, its tau lattice and the spacing dtau."""
+    """Zero-padded time transform along axis 0, its tau lattice and the spacing dtau.
+
+    scipy pads each time line of a time-last view; the transform it
+    returns is a time-first view of a time-last array.
+    """
     n_t = values.shape[0]
     taus = tau_lattice(_TAU_PAD * n_t, _TAU_PAD * t_window)
-    pad = [(0, (_TAU_PAD - 1) * n_t)] + [(0, 0)] * (values.ndim - 1)
-    tilde = (2.0 * t_window / n_t) * _fft.fft(np.pad(values, pad), axis=0)
-    phase = np.exp(1j * taus * t_window)
-    tilde = tilde * phase.reshape((phase.size,) + (1,) * (values.ndim - 1))
-    return tilde, taus, np.pi / (_TAU_PAD * t_window)
+    tilde = _fft.fft(np.moveaxis(values, 0, -1), n=_TAU_PAD * n_t, axis=-1)
+    tilde *= 2.0 * t_window / n_t
+    tilde *= np.exp(1j * taus * t_window)
+    return np.moveaxis(tilde, -1, 0), taus, np.pi / (_TAU_PAD * t_window)
 
 
 def _lp(weighted, cell, p, axis):
-    """Weighted l^{p'} sum of a lattice with cell volume cell."""
+    """Weighted l^{p'} sum of a lattice with cell volume cell; overwrites weighted."""
     pprime = conjugate_exponent(p)
-    return np.sum(weighted**pprime * cell, axis=axis) ** (1.0 / pprime)
+    weighted **= pprime
+    weighted *= cell
+    return np.sum(weighted, axis=axis) ** (1.0 / pprime)
 
 
 def _magnitude(data, lattice_ndim):
@@ -152,11 +162,14 @@ def hbp_norm_1d(profile, t_window, b, p):
     return float(_lp((1.0 + taus**2) ** (0.5 * b) * np.abs(hat), dtau, p, None))
 
 
-def _xsb_of_transform(tilde, grid, taus, dtau, s, b, p, sign):
-    modulation = -taus[:, np.newaxis, np.newaxis] + sign * grid.kabs
-    weight = _spatial_weight(grid, s, False) * (1.0 + modulation**2) ** (0.5 * b)
-    cell = dtau * (2.0 * np.pi / grid.length) ** 2
-    return float(_lp(weight * _magnitude(np.asarray(tilde), 3), cell, p, None))
+def _xsb_of_magnitude(mag, grid, taus, dtau, s, b, p, sign):
+    """Norm of a (tau, xi_1, xi_2) magnitude lattice, which it overwrites."""
+    levels, index = grid.kabs_levels
+    modulation = -taus + sign * levels[:, np.newaxis]
+    weight = ((1.0 + modulation**2) ** (0.5 * b))[index]
+    weight *= _spatial_weight(grid, s, False)[..., np.newaxis]
+    mag *= np.moveaxis(weight, -1, 0)
+    return float(_lp(mag, dtau * (2.0 * np.pi / grid.length) ** 2, p, None))
 
 
 def xsb_norm(sample, grid, s, b, p, sign):
@@ -164,7 +177,9 @@ def xsb_norm(sample, grid, s, b, p, sign):
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     tilde, taus, dtau = _time_transform(sample.values, sample.t_window)
-    return _xsb_of_transform(tilde, grid, taus, dtau, s, b, p, sign)
+    mag = _magnitude(tilde, 3)
+    del tilde
+    return _xsb_of_magnitude(mag, grid, taus, dtau, s, b, p, sign)
 
 
 def gaussian_window(times, width):
@@ -187,11 +202,11 @@ def free_wave_sample(grid, field, sign, width, t_window=2.0, n_t=256):
     dt = 2.0 * t_window / n_t
     times = -t_window + dt * np.arange(n_t)
     profile = gaussian_window(times, width)
-    phases = np.exp(1j * sign * times[:, np.newaxis, np.newaxis] * grid.kabs)
-    waves = profile[:, np.newaxis, np.newaxis] * phases
+    levels, index = grid.kabs_levels
+    waves = (profile * np.exp(1j * sign * levels[:, np.newaxis] * times))[index]
     coeffs = _fft.fft2(field, axes=(0, 1), norm="forward")
-    values = waves.reshape((n_t, n, n) + (1,) * (field.ndim - 2)) * coeffs
-    return SpaceTimeSample(values=values, t_window=t_window, window=profile)
+    values = waves.reshape((n, n) + (1,) * (field.ndim - 2) + (n_t,)) * coeffs[..., np.newaxis]
+    return SpaceTimeSample(values=np.moveaxis(values, -1, 0), t_window=t_window, window=profile)
 
 
 def scaling_check(field, grid, lam, s, p):
@@ -313,10 +328,13 @@ def key_bilinear_probe(phi_tilde, psi_tilde, grid, params, sign, t_window=2.0):
     out = _convolve(phi_tilde, psi_tilde, grid, sign, t_window)
     taus = tau_lattice(out.shape[0], t_window)
     dtau = np.pi / t_window
-    lhs = _xsb_of_transform(out, grid, taus, dtau, params.s, 0.0, params.p, 1)
-    rhs_phi = _xsb_of_transform(phi_tilde, grid, taus, dtau, params.s, params.b, params.p, 1)
-    rhs_psi = _xsb_of_transform(psi_tilde, grid, taus, dtau, params.s, params.b, params.p, sign)
-    rhs = rhs_phi * rhs_psi
+
+    def norm(tilde, b, wave_sign):
+        mag = _magnitude(np.asarray(tilde), 3)
+        return _xsb_of_magnitude(mag, grid, taus, dtau, params.s, b, params.p, wave_sign)
+
+    lhs = norm(out, 0.0, 1)
+    rhs = norm(phi_tilde, params.b, 1) * norm(psi_tilde, params.b, sign)
     return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
 
 
@@ -347,15 +365,16 @@ def random_positive_coeffs(rng, grid, n_t, n_active):
     n = grid.n_points
     index_cap = n // 4
     t_cap = max(n_t // 4, 1)
-    data = np.zeros((n_t, n, n))
-    placed = 0
-    while placed < n_active:
+    placed = {}
+    while len(placed) < n_active:
         m = int(rng.integers(-t_cap, t_cap + 1)) % n_t
         a = int(rng.integers(-index_cap, index_cap + 1)) % n
         c = int(rng.integers(-index_cap, index_cap + 1)) % n
-        if data[m, a, c] == 0.0:
-            data[m, a, c] = float(rng.uniform(0.1, 1.0))
-            placed += 1
+        if (m, a, c) not in placed:
+            placed[m, a, c] = float(rng.uniform(0.1, 1.0))
+    data = np.zeros((n_t, n, n))
+    slots = np.array(list(placed), dtype=int).reshape(-1, 3)
+    data[tuple(slots.T)] = list(placed.values())
     return data
 
 

@@ -68,6 +68,12 @@ class GridSpec:
         return np.hypot(self.kx, self.ky)
 
     @cached_property
+    def kabs_levels(self):
+        """Distinct values of kabs, ascending, and the (N, N) index of each point's own."""
+        levels, index = np.unique(self.kabs, return_inverse=True)
+        return levels, index.reshape(self.kabs.shape)
+
+    @cached_property
     def mode_index(self):
         """Signed integer mode index along one axis, FFT ordering."""
         return np.rint(np.fft.fftfreq(self.n_points) * self.n_points).astype(int)

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.fft import ifft2
+from scipy.fft import fft, ifft2
 from scipy.integrate import quad
 
 from monopole_lab import fl_norms
@@ -146,6 +147,82 @@ def test_xsb_norm_monotone_in_modulation_exponent():
     sample = free_wave_sample(GRID, field, -1, 0.2)
     values = [xsb_norm(sample, GRID, 0.5, b, 1.5, -1) for b in (0.0, 0.3, 0.6, 0.9)]
     assert np.all(np.diff(values) >= 0.0)
+
+
+def _direct_lattice_norm(weight, mag, cell, p):
+    pprime = conjugate_exponent(p)
+    return np.sum((weight * mag) ** pprime * cell) ** (1.0 / pprime)
+
+
+def _padded_magnitude(values, t_window):
+    """|time transform| of a copy padded by np.pad; the phase exp(i tau T_w) is unimodular."""
+    n_t = values.shape[0]
+    pad = [(0, (fl_norms._TAU_PAD - 1) * n_t)] + [(0, 0)] * (values.ndim - 1)
+    mag = np.abs((2.0 * t_window / n_t) * fft(np.pad(values, pad), axis=0))
+    if mag.ndim > 3:
+        mag = np.sqrt(np.sum(mag**2, axis=tuple(range(3, mag.ndim))))
+    return mag
+
+
+def _padded_taus(n_t, t_window):
+    """The padded tau lattice and its spacing dtau."""
+    pad = fl_norms._TAU_PAD
+    return 2.0 * np.pi * np.fft.fftfreq(pad * n_t, d=2.0 * t_window / n_t), np.pi / (pad * t_window)
+
+
+def test_xsb_norm_matches_the_direct_formula():
+    # the full (n_tau, N, N) weight on a padded copy, against the lean path
+    rng = np.random.default_rng(21)
+    s, b, t_window = 0.8, 0.9, 1.5
+    field = random_band_limited(rng, GRID, 5.0, shape=())
+    pair = np.moveaxis(random_band_limited(rng, GRID, 5.0, shape=(2,)), 0, -1)
+    shape = (32, 16, 16, 3)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    taus, dtau = _padded_taus(32, t_window)
+    cell = dtau * (2.0 * np.pi / GRID.length) ** 2
+    for sign in (1, -1):
+        modulation = -taus[:, np.newaxis, np.newaxis] + sign * GRID.kabs
+        samples = [
+            free_wave_sample(GRID, field, sign, 0.2, t_window=t_window, n_t=32),
+            free_wave_sample(GRID, pair, sign, 0.2, t_window=t_window, n_t=32),
+            SpaceTimeSample(raw[..., 0], t_window),
+            SpaceTimeSample(raw, t_window),
+        ]
+        weight = (1.0 + GRID.kabs**2) ** (0.5 * s) * (1.0 + modulation**2) ** (0.5 * b)
+        for sample in samples:
+            mag = _padded_magnitude(sample.values, t_window)
+            for p in (1.05, 4 / 3, 2.0):
+                want = _direct_lattice_norm(weight, mag, cell, p)
+                assert_allclose(xsb_norm(sample, GRID, s, b, p, sign), want, rtol=1e-13)
+
+
+def test_hbp_norm_matches_the_direct_formula():
+    rng = np.random.default_rng(22)
+    t_window = 1.5
+    taus, dtau = _padded_taus(64, t_window)
+    times = -t_window + (2.0 * t_window / 64) * np.arange(64)
+    for profile in (gaussian_window(times, 0.2), rng.standard_normal(64)):
+        mag = _padded_magnitude(profile.astype(complex), t_window)
+        for b, p in ((0.9, 1.05), (0.75, 4 / 3), (0.5, 2.0)):
+            want = _direct_lattice_norm((1.0 + taus**2) ** (0.5 * b), mag, dtau, p)
+            assert_allclose(hbp_norm_1d(profile, t_window, b, p), want, rtol=1e-13)
+
+
+def test_xsb_norm_holds_at_most_two_padded_lattices():
+    # the padded complex transform is the one full-size lattice the norm needs
+    grid = GridSpec(32, 2.0 * np.pi, 1e-3)
+    field = random_band_limited(np.random.default_rng(23), grid, 5.0, shape=())
+    sample = free_wave_sample(grid, field, 1, 0.2, n_t=256)
+    lattice_bytes = fl_norms._TAU_PAD * 256 * 32 * 32 * np.dtype(complex).itemsize
+    xsb_norm(sample, grid, 0.8, 0.9, 1.2, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        xsb_norm(sample, grid, 0.8, 0.9, 1.2, 1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * lattice_bytes
 
 
 def test_factorization_identity():
@@ -312,6 +389,41 @@ def test_random_positive_coeffs_layout():
     idx = np.nonzero(data)
     folded = [np.minimum(i, dim - i) for i, dim in zip(idx, (16, 16, 16))]
     assert np.all(folded[0] <= 4) and np.all(folded[1] <= 4) and np.all(folded[2] <= 4)
+
+
+def _array_loop_draw(rng, grid, n_t, n_active):
+    """random_positive_coeffs as it was: a rejection loop that reads the array back."""
+    n = grid.n_points
+    index_cap = n // 4
+    t_cap = max(n_t // 4, 1)
+    data = np.zeros((n_t, n, n))
+    placed = rejected = 0
+    while placed < n_active:
+        m = int(rng.integers(-t_cap, t_cap + 1)) % n_t
+        a = int(rng.integers(-index_cap, index_cap + 1)) % n
+        c = int(rng.integers(-index_cap, index_cap + 1)) % n
+        if data[m, a, c] == 0.0:
+            data[m, a, c] = float(rng.uniform(0.1, 1.0))
+            placed += 1
+        else:
+            rejected += 1
+    return data, rejected
+
+
+@pytest.mark.parametrize(
+    "n, n_t, n_active", [(16, 16, 96), (32, 16, 96), (8, 4, 27), (8, 1, 25), (16, 8, 0)]
+)
+def test_random_positive_coeffs_draws_as_the_array_loop_did(n, n_t, n_active):
+    grid = GridSpec(n, 2.0 * np.pi, 1e-3)
+    for seed in range(4):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        data = random_positive_coeffs(rng, grid, n_t, n_active)
+        want, rejected = _array_loop_draw(reference, grid, n_t, n_active)
+        assert np.array_equal(data, want)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        if n_t == 1:
+            # all 25 slots of the band: the draw must step past taken slots
+            assert rejected > 0
 
 
 def test_bilinear_sweep_frozen_baseline():
