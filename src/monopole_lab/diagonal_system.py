@@ -37,6 +37,8 @@ has tested, so round trips do not add it up.  The exit builds the plus
 halves as the basis sums of (c + i R c) / 2 and the minus halves as the
 rest; diagonal_split, the oracle, splits the same way with
 grid_spectral.apply_projection, and nowhere else are half waves split.
+A state that the exit builds is read-only and carries its spectra, which
+the entry takes back as they are, so chained evolutions add no rounding.
 The exact linear propagator is the per-mode 2 x 2 matrix
     exp(pm i h alpha . xi) = cos(h|xi|) pm i sin(h|xi|) alpha . xihat
 acting on the pair index; since E(h) = E(h/2)^2 a step applies only the
@@ -57,7 +59,8 @@ its own pair.  On grids of _THREADED_MIN_POINTS = 128 points per side and
 more the v lane runs on one worker thread per process, made on the first
 such step, while the u lane runs on the caller's thread; below that both
 run on the caller's thread, u first.  The lanes write disjoint slices, so
-both schedules give the same bits.  Entry and exit stay serial, and every
+both schedules give the same bits.  Entry and exit stay serial, since on
+two lanes their basis sums contend with OpenBLAS's own threads, and every
 FFT runs on scipy's default of one worker.
 
 Residuals are read off the engine's own rates.  On them the Lorenz
@@ -75,7 +78,7 @@ so the transforms act on contiguous memory.
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as _fft
@@ -125,12 +128,15 @@ def engine_threads(grid):
     return 2 if grid.n_points >= _THREADED_MIN_POINTS else 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiagonalState:
     """Projected characteristic components, physical-space samples.
 
     Each component is a pair of matrix fields with shape (2, N, N, n, n);
     u_plus + u_minus and v_plus + v_minus recover the su(n)-valued pairs.
+    A state that HalfWaveSolver returns is read-only and carries the
+    coefficient spectra it was built from, which the solver's entry takes
+    back untested; a state built here, from any arrays, carries none.
     """
 
     grid: GridSpec
@@ -138,6 +144,7 @@ class DiagonalState:
     u_minus: np.ndarray
     v_plus: np.ndarray
     v_minus: np.ndarray
+    _spectra: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.grid.n_points
@@ -145,7 +152,7 @@ class DiagonalState:
             f = np.asarray(getattr(self, name), dtype=np.complex128)
             if f.ndim != 5 or f.shape[:3] != (2, n, n) or f.shape[-1] != f.shape[-2]:
                 raise ValueError(f"{name} must have shape (2, N, N, n, n), got {f.shape}")
-            setattr(self, name, f)
+            object.__setattr__(self, name, f)
         shapes = {c.shape for c in self.components()}
         if len(shapes) != 1:
             raise ValueError(f"component shapes disagree: {shapes}")
@@ -323,8 +330,11 @@ class HalfWaveSolver:
         and with plus components that are the actual projections
         (c + i R c) / 2 of their pairs.  All are tested at 1e-12 of the
         state's largest entry, one pair at a time; a ValueError names the
-        test that failed.  Nyquist rounding that passes is zeroed.
+        test that failed.  Nyquist rounding that passes is zeroed.  A state
+        that _to_state made on this grid size passes as the spectra it carries.
         """
+        if state._spectra is not None and state._spectra.shape[-2:] == self._mag_r.shape:
+            return state._spectra.copy()
         peak = state_max_abs(state)
         if not np.isfinite(peak):
             raise ValueError(f"finite test failed: the state's largest entry is {peak}")
@@ -381,7 +391,7 @@ class HalfWaveSolver:
         return from_coefficients(np.moveaxis(c, 1, -1), self._lie(c.shape[1])[0])
 
     def _to_state(self, y):
-        """Split each pair into its half waves: P+- c = (c +- i R c) / 2."""
+        """Split each pair into its half waves, P+- c = (c +- i R c) / 2: a read-only state carrying a copy of y."""
         comps = []
         for pair_hat in y:
             c = self._fields(pair_hat)
@@ -389,7 +399,12 @@ class HalfWaveSolver:
             minus = self._matrices(c)
             minus -= plus
             comps += [plus, minus]
-        return DiagonalState(self.grid, *comps)
+        spectra = y.copy()
+        for array in (*comps, spectra):
+            array.setflags(write=False)
+        state = DiagonalState(self.grid, *comps)
+        object.__setattr__(state, "_spectra", spectra)
+        return state
 
     # stepping ------------------------------------------------------------------
 
@@ -515,17 +530,18 @@ class HalfWaveSolver:
             y' = E (a + h/6 E k1 + h/3 (k2 + k3)) + h/6 k4,
         and each stage is added into the sum once known; y' overwrites y.
         n_hat, the _products of y that k1 is packed from, is only read.
-        Between nonlinearities lane w updates pair w alone; the stage
-        arguments, rewritten next, are transformed in place.
+        Between nonlinearities lane w updates pair w alone.  Each stage
+        argument is built in k over the stage before it, the last in a, which
+        no later stage reads, and is transformed in place.
         """
         e = self._half_propagator(h)
-        a, acc, arg, k = (np.empty_like(y) for _ in range(4))
+        a, acc, k = (np.empty_like(y) for _ in range(3))
 
         def first(w):
             self._propagate(e[w], y[w], a[w])
             self._propagate(e[w], self._pack(n_hat, w, k[w]), acc[w])
-            np.multiply(acc[w], 0.5 * h, out=arg[w])
-            arg[w] += a[w]
+            np.multiply(acc[w], 0.5 * h, out=k[w])
+            k[w] += a[w]
             acc[w] *= h / 6.0
             acc[w] += a[w]
 
@@ -533,12 +549,12 @@ class HalfWaveSolver:
             k_w = self._pack(n_hat, w, k[w])  # k2 or k3
             k_w *= h / 3.0
             acc[w] += k_w
-            np.multiply(k_w, scale, out=arg[w])  # h/2 k2 or h k3
-            arg[w] += a[w]
+            k_w *= scale  # h/2 k2 or h k3
+            k_w += a[w]
 
         def third(w):
             middle(w, 3.0)
-            self._propagate(e[w], arg[w], k[w])
+            self._propagate(e[w], k[w], a[w])
 
         def last(w):
             k_w = self._pack(n_hat, w, k[w])  # k4
@@ -547,11 +563,11 @@ class HalfWaveSolver:
             y[w] += k_w
 
         self._lanes(first)
-        n_hat = self._products(arg, overwrite=True)  # k2
+        n_hat = self._products(k, overwrite=True)  # k2
         self._lanes(lambda w: middle(w, 1.5))
-        n_hat = self._products(arg, overwrite=True)  # k3
+        n_hat = self._products(k, overwrite=True)  # k3
         self._lanes(third)
-        n_hat = self._products(k, overwrite=True)  # k4, of E (a + h k3)
+        n_hat = self._products(a, overwrite=True)  # k4, of E (a + h k3)
         self._lanes(last)
         return y
 

@@ -1,4 +1,6 @@
+import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,18 +387,68 @@ def test_evolve_zero_steps_returns_the_state(rng):
 
 def test_round_trips_do_not_accumulate_nyquist_rounding():
     # the entry zeroes the Nyquist rounding it has tested; carried through
-    # the exit instead, 200 round trips grow it to about 7e-15 of the state
+    # the exit instead, 200 round trips grow it to about 7e-15 of the state.
+    # Each round rebuilds the state from its components, which carries no
+    # spectra, so every entry runs its tests
     grid = GridSpec(16, 2 * np.pi, 1e-3)
     state = random_diagonal_state(np.random.default_rng(0), grid, amplitude=0.2, kmax=5)
     solver = HalfWaveSolver(grid)
     for _ in range(200):
-        state = solver.evolve(state, 0)
+        state = solver.evolve(DiagonalState(grid, *state.components()), 0)
     nyq = grid.n_points // 2
     worst = 0.0
     for pair in (state.u(), state.v()):
         c_hat = scipy.fft.fft2(coefficients(pair, su_basis(2)), axes=(1, 2), norm="ortho")
         worst = max(worst, np.max(np.abs(c_hat[:, nyq])), np.max(np.abs(c_hat[:, :, nyq])))
     assert worst <= 1e-15 * state_max_abs(state)
+
+
+@pytest.mark.parametrize("n_points, rank", [(32, 2), (32, 3), (128, 2)])
+def test_chained_evolves_equal_one_long_evolve(n_points, rank):
+    # an engine-made state hands its spectra back to the entry, so a chain
+    # of evolves makes no round trip through physical space
+    grid = GridSpec(n_points, 2 * np.pi, 1e-3)
+    state = random_diagonal_state(np.random.default_rng(5), grid, n=rank, amplitude=0.3, kmax=5)
+    solver = HalfWaveSolver(grid)
+    chained = solver.evolve(solver.evolve(state, 3), 4)
+    long = solver.evolve(state, 7)
+    for a, b in zip(chained.components(), long.components()):
+        assert np.array_equal(a, b)
+
+
+def test_engine_made_states_cannot_drift_from_their_spectra(rng, grid):
+    solver = HalfWaveSolver(grid)
+    made = solver.evolve(random_diagonal_state(rng, grid, amplitude=0.4), 2)
+    for comp in made.components():
+        with pytest.raises(ValueError, match="read-only"):
+            comp[0, 0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        made.u_plus = made.u_minus
+    # states built from its components carry no spectra and take every test
+    swapped = (
+        DiagonalState(grid, made.u_minus, made.u_plus, made.v_plus, made.v_minus),
+        dataclasses.replace(made, u_plus=made.u_minus, u_minus=made.u_plus),
+    )
+    for bad in swapped:
+        with pytest.raises(ValueError, match="plus projection test failed"):
+            solver.evolve(bad, 1)
+
+
+def test_a_step_holds_three_stage_buffers(rng, grid32):
+    # three y-sized stage buffers and the products' temporaries peak at
+    # 6.85 y (N=32, su(2)); a fourth stage buffer reads 7.85 y
+    solver = HalfWaveSolver(grid32)
+    y = solver._to_coeffs(random_diagonal_state(rng, grid32, amplitude=0.3))
+    products = solver._products(y)
+    solver._step(y.copy(), grid32.dt, products)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solver._step(y, grid32.dt, products)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.25 * y.nbytes
 
 
 @pytest.mark.parametrize(
