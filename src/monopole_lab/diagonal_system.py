@@ -28,17 +28,18 @@ basis.  Let R be the operator with the real symbol -i alpha . xi / |xi|
 (zero at xi = 0), acting on the pair index; R c is a real field and the
 half waves are
     P_pm c = (c pm i R c) / 2.
-The entry accepts only pairs that equal the basis sum of their
-coefficients (anti-Hermitian and traceless), have empty Nyquist lines,
-and whose plus components are the basis sum of (c + i R c) / 2; every
-stepping operation enters there and raises ValueError, naming the failed
-test, for any other state.  The entry zeroes the Nyquist rounding it
-has tested, so round trips do not add it up.  The exit builds the plus
-halves as the basis sums of (c + i R c) / 2 and the minus halves as the
-rest; diagonal_split, the oracle, splits the same way with
-grid_spectral.apply_projection, and nowhere else are half waves split.
-A state that the exit builds is read-only and carries its spectra, which
-the entry takes back as they are, so chained evolutions add no rounding.
+The entry first tests that a state has the solver's points per side, then
+accepts only pairs that equal the basis sum of their coefficients
+(anti-Hermitian and traceless), have empty Nyquist lines, and whose plus
+components are the basis sum of (c + i R c) / 2; every stepping operation
+enters there and raises ValueError, naming the failed test, for any other
+state.  The entry zeroes the Nyquist rounding it has tested, so round trips
+do not add it up.  The exit builds the plus halves as the basis sums of
+(c + i R c) / 2 and the minus halves as the rest; diagonal_split, the
+oracle, splits the same way with grid_spectral.apply_projection, and nowhere
+else are half waves split.  A state that the exit builds is read-only and
+carries its spectra, which the entry takes back after the grid test, so
+chained evolutions add no rounding.
 The exact linear propagator is the per-mode 2 x 2 matrix
     exp(pm i h alpha . xi) = cos(h|xi|) pm i sin(h|xi|) alpha . xihat
 acting on the pair index; since E(h) = E(h/2)^2 a step applies only the
@@ -136,7 +137,7 @@ class DiagonalState:
     u_plus + u_minus and v_plus + v_minus recover the su(n)-valued pairs.
     A state that HalfWaveSolver returns is read-only and carries the
     coefficient spectra it was built from, which the solver's entry takes
-    back untested; a state built here, from any arrays, carries none.
+    back after the grid test alone; a state built from any arrays carries none.
     """
 
     grid: GridSpec
@@ -279,6 +280,8 @@ def _require(test, what, defect, tol):
 
 
 def _require_count(name, value, minimum):
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
 
@@ -324,23 +327,26 @@ class HalfWaveSolver:
     def _to_coeffs(self, state):
         """Coefficient spectra of (u, v), shape (2, 2, d, N, N//2+1).
 
-        The state must hold su(n) pairs that are the sums of their su_basis
-        coefficients (no Hermitian or trace part), with empty Nyquist lines,
-        whose sign convention is not shared by the half-spectrum transforms,
-        and with plus components that are the actual projections
-        (c + i R c) / 2 of their pairs.  All are tested at 1e-12 of the
-        state's largest entry, one pair at a time; a ValueError names the
-        test that failed.  Nyquist rounding that passes is zeroed.  A state
-        that _to_state made on this grid size passes as the spectra it carries.
+        The state must have the solver's points per side and hold su(n) pairs
+        that are the sums of their su_basis coefficients (no Hermitian or
+        trace part), with empty Nyquist lines, whose sign convention is not
+        shared by the half-spectrum transforms, and with plus components that
+        are the projections (c + i R c) / 2 of their pairs, each tested at
+        1e-12 of the state's largest entry, one pair at a time; a ValueError
+        names the test that failed.  Nyquist rounding that passes is zeroed.
+        Past the grid test, a state that _to_state made enters as its spectra.
         """
-        if state._spectra is not None and state._spectra.shape[-2:] == self._mag_r.shape:
+        m, n = state.grid.n_points, self.grid.n_points
+        if m != n:
+            raise ValueError(f"grid test failed: the state has {m} points per side, the solver {n}")
+        if state._spectra is not None:
             return state._spectra.copy()
         peak = state_max_abs(state)
         if not np.isfinite(peak):
             raise ValueError(f"finite test failed: the state's largest entry is {peak}")
         basis = self._lie(state.u_plus.shape[-1] ** 2 - 1)[0]
         tol = 1e-12 * max(peak, 1e-30)
-        nyq = self.grid.n_points // 2
+        nyq = n // 2
         y = np.empty((2, 2, len(basis), *self._mag_r.shape), dtype=np.complex128)
         for w, (name, plus, minus) in enumerate(
             (("u", state.u_plus, state.u_minus), ("v", state.v_plus, state.v_minus))
@@ -430,18 +436,13 @@ class HalfWaveSolver:
         return e
 
     def _propagate(self, e, y, out=None):
-        """Apply the per-mode 2 x 2 propagators to the pair index: e[w] to
-        pair w of u and v, or e of shape (2, 2, N, N//2+1) to one pair y."""
+        """Apply the per-mode 2 x 2 propagators e[..., i, j, :, :] to the pair index j of y, over any leading axes."""
         out = np.empty_like(y) if out is None else out
-        if e.ndim == 5:
-            for w in range(2):
-                self._propagate(e[w], y[w], out[w])
-            return out
-        tmp = np.empty_like(y[0])
+        tmp = np.empty_like(y[..., 0, :, :, :])
         for i in range(2):
-            np.multiply(e[i, 0], y[0], out=out[i])
-            np.multiply(e[i, 1], y[1], out=tmp)
-            out[i] += tmp
+            np.multiply(e[..., i, 0, None, :, :], y[..., 0, :, :, :], out=out[..., i, :, :, :])
+            np.multiply(e[..., i, 1, None, :, :], y[..., 1, :, :, :], out=tmp)
+            out[..., i, :, :, :] += tmp
         return out
 
     def _lanes(self, lane):
@@ -679,6 +680,8 @@ class HalfWaveSolver:
         # imported on use: scipy.integrate also loads scipy.optimize, .sparse and .linalg
         from scipy.integrate import cumulative_simpson
 
+        _require_count("n_steps", n_steps, 1)
+        _require_count("n_iterations", n_iterations, 0)
         y0 = self._to_coeffs(state)
         times = np.linspace(0.0, t_final, n_steps + 1)
         # E(t) for u and v; reversing the stack gives E(-t)
@@ -692,7 +695,7 @@ class HalfWaveSolver:
                 n_hat = self._products(k)
                 for w in range(2):
                     self._pack(n_hat, w, k[w])
-                g[j] = self._propagate(e[::-1], k)
+                self._propagate(e[::-1], k, g[j])
             # cumulative_simpson is real-only, so integrate the parts
             integral = (
                 cumulative_simpson(g.real, x=times, axis=0, initial=0.0)

@@ -23,6 +23,12 @@ from monopole_lab.cli import (
 )
 from monopole_lab.diagonal_system import HalfWaveSolver, random_diagonal_state
 from monopole_lab.grid_spectral import GridSpec
+from record_outputs import RECORDED_CASES, RECORDED_DIR, run_case
+
+# a recorded number must agree to this relative tolerance plus an absolute
+# floor for rounding-level cells, such as residuals' lorenz (about 5e-16)
+RECORDED_RTOL = 1e-12
+RECORDED_ATOL = 1e-14
 
 
 @pytest.fixture(autouse=True)
@@ -416,26 +422,50 @@ def test_identical_config_and_seed_reproduce_identical_bytes(tmp_path):
     assert (out_a / "residuals.csv").read_bytes() == (out_b / "residuals.csv").read_bytes()
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["simulate", "n=16", "steps=10", "sample_every=5"],
-        ["verify-null", "null_samples=2000"],
-        ["verify-cone", "rtol=1e-3"],
-        ["verify-norms", "n=16", "norm_tuples=2", "n_t=64"],
-        ["scaling", "n=16"],
-        ["probe-bilinear", "n=16", "probe_samples=2", "n_active=16"],
-    ],
-    ids=lambda args: args[0],
-)
+def _recorded_mismatches(args, out):
+    """Cells of the CSVs in out that differ from the recorded ones for this config.
+
+    Headers and text must match exactly, numbers within RECORDED_RTOL
+    relative plus RECORDED_ATOL absolute.
+    """
+    recorded = RECORDED_DIR / args[0]
+    names = sorted(path.name for path in recorded.glob("*.csv"))
+    written = sorted(path.name for path in out.glob("*.csv"))
+    if names != written:
+        return [f"CSV files {written} against recorded {names}"]
+    mismatches = []
+    for name in names:
+        got, want = read_csv(out / name), read_csv(recorded / name)
+        if len(got) != len(want) or got[:1] != want[:1]:
+            mismatches.append(f"{name}: header or row count differs")
+            continue
+        for r, (row, expected) in enumerate(zip(got[1:], want[1:]), start=1):
+            if len(row) != len(expected):
+                mismatches.append(f"{name} row {r}: {len(row)} cells against {len(expected)}")
+                continue
+            for column, cell, cell_want in zip(want[0], row, expected):
+                if cell == cell_want:
+                    continue
+                try:
+                    gap, scale = abs(float(cell) - float(cell_want)), abs(float(cell_want))
+                except ValueError:  # text
+                    gap, scale = np.inf, 0.0
+                if not gap <= RECORDED_RTOL * scale + RECORDED_ATOL:
+                    mismatches.append(f"{name} row {r} {column}: {cell} against recorded {cell_want}")
+    return mismatches
+
+
+@pytest.mark.parametrize("args", RECORDED_CASES, ids=lambda args: args[0])
 def test_every_command_reruns_to_identical_csv_bytes(tmp_path, args):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main([*args, "--seed", "11", "--out", str(out_a)]) == 0
-    assert main([*args, "--seed", "11", "--out", str(out_b)]) == 0
+    assert run_case(args, out_a) == 0
+    assert run_case(args, out_b) == 0
     names = sorted(path.name for path in out_a.glob("*.csv"))
     assert names and names == sorted(path.name for path in out_b.glob("*.csv"))
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+    # tests/record_outputs.py re-records these after an intended move
+    assert _recorded_mismatches(args, out_a) == []
 
 
 def test_residuals_csv_columns_and_constraint_check(tmp_path):
@@ -520,8 +550,11 @@ def test_scaling_run_matches_expected_exponents(tmp_path):
 
 def test_scaling_fails_a_weight_exponent_off_by_1e_5(tmp_path, capsys, weight_exponent_off_by_1e_5):
     # the measured exponents move by about 1e-5, far above the check's 1e-12
-    assert main(["scaling", "--out", str(tmp_path), "n=16"]) == 1
+    # and the recorded outputs' tolerance
+    args = next(args for args in RECORDED_CASES if args[0] == "scaling")
+    assert run_case(args, tmp_path) == 1
     assert "[scaling] scaling_exponent: FAIL (max exponent defect 1.000e-05)" in capsys.readouterr().out
+    assert any(m.startswith("scaling.csv") for m in _recorded_mismatches(args, tmp_path))
 
 
 def test_probe_bilinear_small_run(tmp_path):
