@@ -72,6 +72,11 @@ SCHEMA = {
 }
 
 
+# key -> upper bound of a size: past it numpy refuses the array's shape with
+# a ValueError; at it, the other keys at their defaults, each command that
+# reads the key still asks for more memory than exists, which run refuses
+_MAXIMA = {"n": 2**24, "null_samples": 10**16, "n_t": 10**16, "probe_n_t": 10**12}
+
 # narrowest and widest gaussian window that verify-norms draws
 _WINDOW_WIDTHS = (0.1, 0.25)
 
@@ -131,6 +136,8 @@ def _coerce(key, raw):
         raise UsageError(f"{key} must be finite, got {value!r}")
     if minimum is not None and value < minimum:
         raise UsageError(f"{key} must be at least {minimum}, got {value!r}")
+    if key in _MAXIMA and value > _MAXIMA[key]:
+        raise UsageError(f"{key} must be at most {_MAXIMA[key]}, got {value!r}")
     if key in ("lorenz_tol", "rtol", "t_window") and not value > 0.0:
         raise UsageError(f"{key} must be positive, got {value!r}")
     # far outside this range the norms' powers of 2 pi / length or pi / t_window overflow
@@ -245,10 +252,10 @@ def _initial_state(config, grid, rng):
 
 def _run_simulate(config, grid, rng):
     solver = HalfWaveSolver(grid)
-    samples = solver.samples(_initial_state(config, grid, rng), config.steps, config.sample_every)
+    state = _initial_state(config, grid, rng)
     rows = []
     try:
-        for step, spectra, products in samples:
+        for step, spectra, products in solver.samples(state, config.steps, config.sample_every):
             del products  # not kept through the steps that follow
             u, v = solver.pairs(spectra)
             rows.append((step, step * grid.dt, float(np.max(np.abs(u))), float(np.max(np.abs(v)))))

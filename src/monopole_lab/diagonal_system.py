@@ -28,18 +28,19 @@ basis.  Let R be the operator with the real symbol -i alpha . xi / |xi|
 (zero at xi = 0), acting on the pair index; R c is a real field and the
 half waves are
     P_pm c = (c pm i R c) / 2.
-The entry first tests that a state has the solver's points per side, then
-accepts only pairs that equal the basis sum of their coefficients
-(anti-Hermitian and traceless), have empty Nyquist lines, and whose plus
-components are the basis sum of (c + i R c) / 2; every stepping operation
-enters there and raises ValueError, naming the failed test, for any other
-state.  The entry zeroes the Nyquist rounding it has tested, so round trips
-do not add it up.  The exit builds the plus halves as the basis sums of
-(c + i R c) / 2 and the minus halves as the rest; diagonal_split, the
-oracle, splits the same way with grid_spectral.apply_projection, and nowhere
-else are half waves split.  A state that the exit builds is read-only and
-carries its spectra, which the entry takes back after the grid test, so
-chained evolutions add no rounding.
+The entry first tests that a state has the solver's points per side and
+side length, then accepts only pairs that equal the basis sum of their
+coefficients (anti-Hermitian and traceless), have empty Nyquist lines, and
+whose plus components are the basis sum of (c + i R c) / 2; every stepping
+operation enters there and raises ValueError, naming the failed test, for
+any other state.  The entry zeroes the Nyquist rounding it has tested, so
+round trips do not add it up.  The exit builds the plus halves as the
+basis sums of (c + i R c) / 2 and the minus halves as the rest;
+diagonal_split, the oracle, splits the same way with
+grid_spectral.apply_projection, and nowhere else are half waves split.  A
+state that the exit builds is read-only and carries its spectra, which the
+entry takes back after the grid test, so chained evolutions add no
+rounding.
 The exact linear propagator is the per-mode 2 x 2 matrix
     exp(pm i h alpha . xi) = cos(h|xi|) pm i sin(h|xi|) alpha . xihat
 acting on the pair index; since E(h) = E(h/2)^2 a step applies only the
@@ -47,22 +48,26 @@ half-step one, four times.  Projection commutes with every stage, so the
 step agrees to rounding with a projected IF-RK4 on the matrix pairs;
 tests enforce this.
 
-One loop, the generator HalfWaveSolver.samples, steps the engine and
-yields read-only spectra and products at sampled instants, and pairs turns
-the spectra into u and v; evolve, evolve_with_residuals and the CLI's
-simulate consume it, and nothing else calls the step.
+One loop, the generator that HalfWaveSolver.samples returns, steps the
+engine and yields read-only spectra and products at sampled instants, and
+pairs turns the spectra into u and v; evolve, evolve_with_residuals and the
+CLI's simulate consume it, and nothing else calls the step.  samples refuses
+unusable counts, a state that fails the entry and entry spectra past the
+divergence limit at its call, before the generator is advanced.
 
 The step runs in two lanes, one per pair, that meet only where the pairs
 couple: inside each nonlinearity, lane w transforms pair w back and takes
 its own bracket and one cross term, and each lane transforms half of the
 products forward; between nonlinearities each lane propagates and updates
 its own pair.  On grids of _THREADED_MIN_POINTS = 128 points per side and
-more the v lane runs on one worker thread per process, made on the first
-such step, while the u lane runs on the caller's thread; below that both
-run on the caller's thread, u first.  The lanes write disjoint slices, so
-both schedules give the same bits.  Entry and exit stay serial, since on
-two lanes their basis sums contend with OpenBLAS's own threads, and every
-FFT runs on scipy's default of one worker.
+more the v lane runs on the lane thread, one per process, while the u lane
+runs on the caller's thread; below that both run on the caller's thread, u
+first.  The lane is a module-level ThreadPoolExecutor, which starts its
+thread on the first threaded step, and a forked child gets an executor of
+its own.  The lanes write disjoint slices, so both schedules give the same
+bits.  Entry and exit stay serial, since on two lanes their basis sums
+contend with OpenBLAS's own threads, and every FFT runs on scipy's default
+of one worker.
 
 Residuals are read off the engine's own rates.  On them the Lorenz
 constraint is an identity, and each of the three evolution rows reduces
@@ -78,7 +83,7 @@ so the transforms act on contiguous memory.
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,30 +103,19 @@ _DIVERGENCE_LIMIT = 1e6
 _THREADED_MIN_POINTS = 128
 
 # The lane thread: one per process whatever the number of solvers and
-# streams, made on the first threaded step, so importing the package and
-# building a solver start no thread.
-_lane = None
-_lane_lock = threading.Lock()
+# streams.  The executor starts it on its first task, the first threaded
+# step, so importing the package and building a solver start no thread.
+_lane = ThreadPoolExecutor(1, thread_name_prefix="monopole-lab-lane")
 
 
-def _lane_executor():
+def _new_lane():
+    """A forked child has no lane thread: it gets an executor of its own."""
     global _lane
-    with _lane_lock:
-        if _lane is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _lane = ThreadPoolExecutor(1, thread_name_prefix="monopole-lab-lane")
-        return _lane
-
-
-def _forget_lane():
-    """A forked child has no lane thread: its first threaded step makes one."""
-    global _lane, _lane_lock
-    _lane, _lane_lock = None, threading.Lock()
+    _lane = ThreadPoolExecutor(1, thread_name_prefix="monopole-lab-lane")
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_lane)
+    os.register_at_fork(after_in_child=_new_lane)
 
 
 def engine_threads(grid):
@@ -327,18 +321,23 @@ class HalfWaveSolver:
     def _to_coeffs(self, state):
         """Coefficient spectra of (u, v), shape (2, 2, d, N, N//2+1).
 
-        The state must have the solver's points per side and hold su(n) pairs
-        that are the sums of their su_basis coefficients (no Hermitian or
-        trace part), with empty Nyquist lines, whose sign convention is not
-        shared by the half-spectrum transforms, and with plus components that
-        are the projections (c + i R c) / 2 of their pairs, each tested at
-        1e-12 of the state's largest entry, one pair at a time; a ValueError
-        names the test that failed.  Nyquist rounding that passes is zeroed.
-        Past the grid test, a state that _to_state made enters as its spectra.
+        The state must have the solver's points per side and side length, and
+        hold su(n) pairs that are the sums of their su_basis coefficients (no
+        Hermitian or trace part), with empty Nyquist lines, whose sign
+        convention is not shared by the half-spectrum transforms, and with
+        plus components that are the projections (c + i R c) / 2 of their
+        pairs, each tested at 1e-12 of the state's largest entry, one pair at
+        a time; a ValueError names the test that failed.  Nyquist rounding
+        that passes is zeroed.  Past the grid test, a state that _to_state
+        made enters as its spectra.
         """
         m, n = state.grid.n_points, self.grid.n_points
         if m != n:
             raise ValueError(f"grid test failed: the state has {m} points per side, the solver {n}")
+        if state.grid.length != self.grid.length:
+            raise ValueError(
+                f"grid test failed: the state's torus side is {state.grid.length!r}, the solver's {self.grid.length!r}"
+            )
         if state._spectra is not None:
             return state._spectra.copy()
         peak = state_max_abs(state)
@@ -458,7 +457,7 @@ class HalfWaveSolver:
             lane(0)
             lane(1)
             return
-        other = _lane_executor().submit(lane, 1)
+        other = _lane.submit(lane, 1)
         try:
             lane(0)
         finally:
@@ -619,13 +618,19 @@ class HalfWaveSolver:
         which later steps overwrite and pairs turns into u and v; products,
         read-only too, are their undealiased _products, which the step reads
         as its k1, or None at the last step.  Kept past the loop body,
-        products hold their memory.  Entry spectra past the limit fail at step 0.
+        products hold their memory.  The counts, the entry and the step-0
+        divergence limit are checked here, at the call, and the returned
+        generator steps.
         """
         _require_count("n_steps", n_steps, 0)
         _require_count("sample_every", sample_every, 1)
         h = self.grid.dt if h is None else h
         y = self._to_coeffs(state)
         _check_finite(y, 0, h)
+        return self._stepping(y, n_steps, sample_every, h)
+
+    def _stepping(self, y, n_steps, sample_every, h):
+        """The loop of samples, from the checked entry spectra y."""
         for i in range(n_steps):
             products = self._products(y)
             if i % sample_every == 0:

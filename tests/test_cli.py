@@ -286,6 +286,26 @@ def test_values_below_their_bound_exit_2(tmp_path, capsys, args, message):
     _assert_usage_error(tmp_path, capsys, [*args, "n=16"], message)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["simulate", "n=1267650600228229401496703205376"], "n must be at most 16777216"),
+        (["verify-null", "null_samples=100000000000000000000"], "null_samples must be at most 10000000000000000"),
+        (["verify-null", "null_samples=4611686018427387904"], "null_samples must be at most 10000000000000000"),
+        (["probe-bilinear", "probe_n_t=100000000000000000000"], "probe_n_t must be at most 1000000000000"),
+        (["probe-bilinear", "probe_n_t=4611686018427387904"], "probe_n_t must be at most 1000000000000"),
+        (["verify-norms", "n_t=100000000000000000000"], "n_t must be at most 10000000000000000"),
+    ],
+    ids=["simulate-n", "verify-null-null_samples-1e20", "verify-null-null_samples-2**62",
+         "probe-bilinear-probe_n_t-1e20", "probe-bilinear-probe_n_t-2**62", "verify-norms-n_t"],
+)
+def test_values_above_their_bound_exit_2(tmp_path, capsys, args, message):
+    # past these bounds numpy refuses the array's shape with a ValueError;
+    # at them, test_a_configuration_too_large_for_memory_exits_2 shows the
+    # memory refusal.  A size below a bound may fit and is not run here
+    _assert_usage_error(tmp_path, capsys, args, message)
+
+
 def test_probe_more_active_modes_than_band_slots_exits_2(tmp_path, capsys):
     # the default quarter band has 9 x 17 x 17 slots; placing more modes by
     # rejection used to never end
@@ -303,6 +323,7 @@ def test_probe_more_active_modes_than_band_slots_exits_2(tmp_path, capsys):
         ["scaling", "n=16777216"],
         ["verify-null", "null_samples=10000000000000000"],
         ["verify-norms", "n_t=10000000000000000", "norm_tuples=1"],
+        ["probe-bilinear", "probe_n_t=1000000000000"],
     ],
     ids=lambda args: args[0],
 )

@@ -368,25 +368,32 @@ def test_fast_engine_rejects_inconsistent_states(rng):
         (added(np.where(lone, np.inf, 0.0), 0.0), "finite"),
     ]
     solver = HalfWaveSolver(grid)
+    # samples refuses at its call, before the generator is advanced
     entries = (
         lambda s: solver.evolve(s, 3),
         lambda s: solver.evolve_with_residuals(s, 3),
+        lambda s: solver.samples(s, 3),
+        lambda s: solver.picard_iterates(s, 1e-3, 2, 1),
     )
-    # a state from another grid size, built by a caller and made by the
-    # engine, whose carried spectra must not skip the grid test
-    grid32 = GridSpec(32, 2 * np.pi, 1e-3)
-    built = random_diagonal_state(rng, grid32, amplitude=0.4)
-    made = HalfWaveSolver(grid32).evolve(built, 1)
-    refused += [(built, "grid"), (made, "grid")]
     for bad, test in refused:
         for entry in entries:
             with pytest.raises(ValueError, match=re.escape(f"{test} test failed")):
                 entry(bad)
-    wrong_grid = "grid test failed: the state has 32 points per side, the solver 16"
-    with pytest.raises(ValueError, match=wrong_grid):
-        next(solver.samples(made, 3))
-    with pytest.raises(ValueError, match=wrong_grid):
-        solver.picard_iterates(made, 1e-3, 2, 1)
+    # states from another grid size and from another torus side, each built
+    # by a caller and made by the engine, whose carried spectra must not
+    # skip the grid test
+    wrong_grid = []
+    for other, message in (
+        (GridSpec(32, 2 * np.pi, 1e-3), "grid test failed: the state has 32 points per side, the solver 16"),
+        (GridSpec(16, 4 * np.pi, 1e-3),
+         f"grid test failed: the state's torus side is {4 * np.pi!r}, the solver's {2 * np.pi!r}"),
+    ):
+        built = random_diagonal_state(rng, other, amplitude=0.4)
+        wrong_grid += [(built, message), (HalfWaveSolver(other).evolve(built, 1), message)]
+    for bad, message in wrong_grid:
+        for entry in entries:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                entry(bad)
 
 
 def test_evolve_zero_steps_returns_the_state(rng):
@@ -473,12 +480,16 @@ def test_a_step_holds_three_stage_buffers(rng, grid32):
          "sample_every must be at least 1, got -2"),
         (lambda solver, s: solver.evolve(s, 2.5), "n_steps must be a whole number, got 2.5"),
         (lambda solver, s: list(solver.samples(s, 4, 1.5)), "sample_every must be a whole number, got 1.5"),
+        # samples refuses at its call, before the generator is advanced
+        (lambda solver, s: solver.samples(s, -1), "n_steps must be at least 0, got -1"),
+        (lambda solver, s: solver.samples(s, 4, 0), "sample_every must be at least 1, got 0"),
         (lambda solver, s: solver.picard_iterates(s, 1e-3, 0, 1), "n_steps must be at least 1, got 0"),
         (lambda solver, s: solver.picard_iterates(s, 1e-3, 2, -1), "n_iterations must be at least 0, got -1"),
     ],
     ids=[
         "evolve-negative-steps", "residuals-negative-steps", "sample-every-zero", "sample-every-negative",
-        "evolve-fractional-steps", "samples-fractional-every", "picard-zero-steps", "picard-negative-iterations",
+        "evolve-fractional-steps", "samples-fractional-every", "samples-negative-steps",
+        "samples-every-zero", "picard-zero-steps", "picard-negative-iterations",
     ],
 )
 def test_evolve_refuses_unusable_counts(rng, grid, call, message):
