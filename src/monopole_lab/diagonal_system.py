@@ -17,16 +17,16 @@ fixed-point iteration on the same time grid is provided as an
 independent cross-check of the time stepper.
 
 One engine implements the step, for su(n) pairs of any rank n read off
-each array it is given.  The solver holds only its grid's tables and,
-per rank, the basis and its structure constants, so one solver serves
-any rank and several sample streams at once.  It evolves the unsplit
-pairs in the coefficients of the orthonormal su_basis(n): physical
-fields are real d-vectors c, d = n^2 - 1, the bracket is
-[x, y]_c = f_abc x_a y_b with the structure constants f of that basis,
-and the transforms are half-spectrum.  Entry and exit stay in that
-basis.  Let R be the operator with the real symbol -i alpha . xi / |xi|
-(zero at xi = 0), acting on the pair index; R c is a real field and the
-half waves are
+each array it is given.  The solver holds only its grid's half-spectrum
+tables and, per rank, the basis and its structure constants, and nothing
+per step size, so one solver serves any rank, any step size and several
+sample streams at once.  It evolves the unsplit pairs in the
+coefficients of the orthonormal su_basis(n): physical fields are real
+d-vectors c, d = n^2 - 1, the bracket is [x, y]_c = f_abc x_a y_b with
+the structure constants f of that basis, and the transforms are
+half-spectrum.  Entry and exit stay in that basis.  Let R be the
+operator with the real symbol -i alpha . xi / |xi| (zero at xi = 0),
+acting on the pair index; R c is a real field and the half waves are
     P_pm c = (c pm i R c) / 2.
 The entry first tests that a state has the solver's points per side and
 side length, then accepts only pairs that equal the basis sum of their
@@ -51,9 +51,11 @@ tests enforce this.
 One loop, the generator that HalfWaveSolver.samples returns, steps the
 engine and yields read-only spectra and products at sampled instants, and
 pairs turns the spectra into u and v; evolve, evolve_with_residuals and the
-CLI's simulate consume it, and nothing else calls the step.  samples refuses
-unusable counts, a state that fails the entry and entry spectra past the
-divergence limit at its call, before the generator is advanced.
+CLI's simulate consume it, and nothing else calls the step.  Each stream
+builds its own half-step table E(h/2) once, with _phases, which also gives
+the Duhamel iteration its flows.  samples refuses unusable counts, a
+non-finite step size, a state that fails the entry and entry spectra past
+the divergence limit at its call, before the generator is advanced.
 
 The step runs in two lanes, one per pair, that meet only where the pairs
 couple: inside each nonlinearity, lane w transforms pair w back and takes
@@ -280,6 +282,11 @@ def _require_count(name, value, minimum):
         raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
 
 
+def _require_finite(name, value):
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _check_finite(y, step, h):
     peak = float(np.max(np.abs(y)))
     if not np.isfinite(peak) or peak > _DIVERGENCE_LIMIT:
@@ -303,7 +310,6 @@ class HalfWaveSolver:
             np.where(self._mag_r == 0.0, 0.0, self._kx_r / safe),
             np.where(self._mag_r == 0.0, 0.0, self._ky_r / safe),
         )
-        self._propagators = {}
         self._lie_tables = {}
         self._threaded = engine_threads(grid) == 2
 
@@ -413,14 +419,9 @@ class HalfWaveSolver:
 
     # stepping ------------------------------------------------------------------
 
-    def _half_propagator(self, h):
-        """exp(+-i (h/2) alpha . xi) for u and v, shape (2, 2, 2, N, N//2+1)."""
-        key = float(h)
-        if key not in self._propagators:
-            self._propagators[key] = np.stack(
-                [self._square_phase(0.5 * h), self._square_phase(-0.5 * h)]
-            )
-        return self._propagators[key]
+    def _phases(self, t):
+        """exp(+-i t alpha . xi) for u and v, shape (2, 2, 2, N, N//2+1); reversed, exp(-+i t alpha . xi)."""
+        return np.stack([self._square_phase(t), self._square_phase(-t)])
 
     def _square_phase(self, h):
         """exp(i h alpha . xi) tabulated on the half-spectrum grid."""
@@ -522,19 +523,19 @@ class HalfWaveSolver:
         out[1] = n_hat[1 + w]
         return self._dealias(out)
 
-    def _step(self, y, h, n_hat):
+    def _step(self, y, h, e, n_hat):
         """IF-RK4 in the co-moving frame with only the half-step propagator E.
 
         With E(h) = E(h/2)^2 and a = E y the step reads
             k2 = N(a + h/2 E k1),  k3 = N(a + h/2 k2),  k4 = N(E (a + h k3)),
             y' = E (a + h/6 E k1 + h/3 (k2 + k3)) + h/6 k4,
         and each stage is added into the sum once known; y' overwrites y.
-        n_hat, the _products of y that k1 is packed from, is only read.
-        Between nonlinearities lane w updates pair w alone.  Each stage
-        argument is built in k over the stage before it, the last in a, which
-        no later stage reads, and is transformed in place.
+        e is the stream's E(h/2), _phases(h / 2), and n_hat, the _products
+        of y that k1 is packed from; both are only read.  Between
+        nonlinearities lane w updates pair w alone.  Each stage argument is
+        built in k over the stage before it, the last in a, which no later
+        stage reads, and is transformed in place.
         """
-        e = self._half_propagator(h)
         a, acc, k = (np.empty_like(y) for _ in range(3))
 
         def first(w):
@@ -625,17 +626,19 @@ class HalfWaveSolver:
         _require_count("n_steps", n_steps, 0)
         _require_count("sample_every", sample_every, 1)
         h = self.grid.dt if h is None else h
+        _require_finite("h", h)
         y = self._to_coeffs(state)
         _check_finite(y, 0, h)
         return self._stepping(y, n_steps, sample_every, h)
 
     def _stepping(self, y, n_steps, sample_every, h):
-        """The loop of samples, from the checked entry spectra y."""
+        """The loop of samples, from the checked entry spectra y; the stream builds its own E(h/2)."""
+        e = self._phases(0.5 * h)
         for i in range(n_steps):
             products = self._products(y)
             if i % sample_every == 0:
                 yield i, np.broadcast_to(y, y.shape), np.broadcast_to(products, products.shape)
-            y = self._step(y, h, products)
+            y = self._step(y, h, e, products)
             _check_finite(y, i + 1, h)
         yield n_steps, np.broadcast_to(y, y.shape), None
 
@@ -687,10 +690,10 @@ class HalfWaveSolver:
 
         _require_count("n_steps", n_steps, 1)
         _require_count("n_iterations", n_iterations, 0)
+        _require_finite("t_final", t_final)
         y0 = self._to_coeffs(state)
         times = np.linspace(0.0, t_final, n_steps + 1)
-        # E(t) for u and v; reversing the stack gives E(-t)
-        flows = [np.stack([self._square_phase(t), self._square_phase(-t)]) for t in times]
+        flows = [self._phases(t) for t in times]
         z = np.broadcast_to(y0, (n_steps + 1, *y0.shape)).copy()
         iterates = [self._to_state(self._propagate(flows[-1], z[-1]))]
         for _ in range(n_iterations):

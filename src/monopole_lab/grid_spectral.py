@@ -30,7 +30,7 @@ def _is_power_of_two(m):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Square periodic grid: n_points per side, period length, time step."""
+    """Square periodic grid: n_points per side, period length, time step; length and dt positive and finite."""
 
     n_points: int
     length: float
@@ -41,10 +41,12 @@ class GridSpec:
             raise ValueError("n_points must be an integer")
         if self.n_points < 8 or not _is_power_of_two(self.n_points):
             raise ValueError(f"n_points must be a power of two >= 8, got {self.n_points}")
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        for name in ("length", "dt"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def dx(self):

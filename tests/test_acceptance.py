@@ -234,8 +234,7 @@ def test_ac4_holds_for_su3_pairs():
 
 
 def test_ac4_su3_order_catches_a_first_order_step(monkeypatch):
-    def lawson_euler(self, y, h, n_hat):
-        e = self._half_propagator(h)
+    def lawson_euler(self, y, h, e, n_hat):
         k1 = np.empty_like(y)
         for w in range(2):
             self._pack(n_hat, w, k1[w])

@@ -292,23 +292,35 @@ def test_one_solver_follows_the_rank_of_each_state(rng, grid):
         assert state_distance(solver.evolve(state, 3), HalfWaveSolver(grid).evolve(state, 3)) == 0.0
 
 
-def test_one_solver_serves_interleaved_streams_of_two_ranks(rng, grid):
-    # an su(2) and an su(3) stream resumed in turn on one solver yield, at
-    # every sample, the spectra and pairs of each stream alone on a fresh solver
-    states = [random_diagonal_state(rng, grid, n=n, amplitude=0.4) for n in (2, 3)]
+def _interleaved_streams_match_streams_alone(grid, runs):
+    """Streams of samples(state, 4, 2, h) for each (state, h) of runs, resumed
+    in turn on one solver, yield at every sample the spectra and pairs of
+    each stream alone on a fresh solver."""
     alone = []
-    for state in states:
+    for state, h in runs:
         solver = HalfWaveSolver(grid)
-        alone.append([(spectra.copy(), solver.pairs(spectra)) for _, spectra, _ in solver.samples(state, 4, 2)])
+        alone.append([(spectra.copy(), solver.pairs(spectra)) for _, spectra, _ in solver.samples(state, 4, 2, h)])
     solver = HalfWaveSolver(grid)
-    streams = [solver.samples(state, 4, 2) for state in states]
+    streams = [solver.samples(state, 4, 2, h) for state, h in runs]
     for k in range(3):
         for stream, expected in zip(streams, alone):
             _, spectra, _ = next(stream)
             assert np.array_equal(spectra, expected[k][0])
             for got, want in zip(solver.pairs(spectra), expected[k][1], strict=True):
                 assert np.array_equal(got, want)
-    assert [next(stream, None) for stream in streams] == [None, None]
+    assert [next(stream, None) for stream in streams] == [None] * len(runs)
+
+
+def test_one_solver_serves_interleaved_streams_of_two_ranks(rng, grid):
+    states = [random_diagonal_state(rng, grid, n=n, amplitude=0.4) for n in (2, 3)]
+    _interleaved_streams_match_streams_alone(grid, [(state, None) for state in states])
+
+
+def test_one_solver_serves_interleaved_streams_of_two_step_sizes(rng, grid):
+    # step doubling: each stream steps with its own half-step table, whatever
+    # the other stream's step size
+    state = random_diagonal_state(rng, grid, amplitude=0.4)
+    _interleaved_streams_match_streams_alone(grid, [(state, grid.dt), (state, 2 * grid.dt)])
 
 
 def test_reference_gap_catches_a_flipped_propagator_sign(rng, monkeypatch):
@@ -458,11 +470,12 @@ def test_a_step_holds_three_stage_buffers(rng, grid32):
     solver = HalfWaveSolver(grid32)
     y = solver._to_coeffs(random_diagonal_state(rng, grid32, amplitude=0.3))
     products = solver._products(y)
-    solver._step(y.copy(), grid32.dt, products)
+    e = solver._phases(0.5 * grid32.dt)
+    solver._step(y.copy(), grid32.dt, e, products)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        solver._step(y, grid32.dt, products)
+        solver._step(y, grid32.dt, e, products)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -485,11 +498,19 @@ def test_a_step_holds_three_stage_buffers(rng, grid32):
         (lambda solver, s: solver.samples(s, 4, 0), "sample_every must be at least 1, got 0"),
         (lambda solver, s: solver.picard_iterates(s, 1e-3, 0, 1), "n_steps must be at least 1, got 0"),
         (lambda solver, s: solver.picard_iterates(s, 1e-3, 2, -1), "n_iterations must be at least 0, got -1"),
+        # a non-finite step or end time is refused, not blamed on the data
+        (lambda solver, s: solver.evolve(s, 2, h=np.nan), "h must be finite, got nan"),
+        (lambda solver, s: solver.evolve(s, 2, h=np.inf), "h must be finite, got inf"),
+        (lambda solver, s: solver.samples(s, 2, h=-np.inf), "h must be finite, got -inf"),
+        (lambda solver, s: solver.picard_iterates(s, np.nan, 4, 1), "t_final must be finite, got nan"),
+        (lambda solver, s: solver.picard_iterates(s, np.inf, 4, 1), "t_final must be finite, got inf"),
     ],
     ids=[
         "evolve-negative-steps", "residuals-negative-steps", "sample-every-zero", "sample-every-negative",
         "evolve-fractional-steps", "samples-fractional-every", "samples-negative-steps",
         "samples-every-zero", "picard-zero-steps", "picard-negative-iterations",
+        "evolve-nan-step", "evolve-infinite-step", "samples-minus-infinite-step",
+        "picard-nan-end", "picard-infinite-end",
     ],
 )
 def test_evolve_refuses_unusable_counts(rng, grid, call, message):

@@ -38,10 +38,19 @@ def test_grid_validation():
         GridSpec(12, 1.0, 1e-3)
     with pytest.raises(ValueError):
         GridSpec(4, 1.0, 1e-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="length must be positive"):
         GridSpec(16, -1.0, 1e-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dt must be positive"):
         GridSpec(16, 1.0, 0.0)
+    # a non-finite side or step makes every wavenumber or phase meaningless
+    for length, dt, message in [
+        (np.inf, 1e-3, "length must be finite, got inf"),
+        (np.nan, 1e-3, "length must be finite, got nan"),
+        (2 * np.pi, np.inf, "dt must be finite, got inf"),
+        (2 * np.pi, np.nan, "dt must be finite, got nan"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            GridSpec(16, length, dt)
 
 
 def test_wavenumbers_are_integer_multiples(grid):
@@ -195,3 +204,6 @@ def test_dilate_identity_any_positive_lam_and_refusal(rng, grid):
     assert_allclose(out, 3.0 * f, atol=0)
     with pytest.raises(ValueError):
         dilate(f, grid, -2.0)
+    # L / lam overflows: the grid refuses the infinite side
+    with pytest.raises(ValueError, match="length must be finite"):
+        dilate(f, grid, 1e-308)
