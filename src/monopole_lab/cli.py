@@ -138,6 +138,10 @@ def _coerce(key, raw):
         raise UsageError(f"{key} must be at least {minimum}, got {value!r}")
     if key in _MAXIMA and value > _MAXIMA[key]:
         raise UsageError(f"{key} must be at most {_MAXIMA[key]}, got {value!r}")
+    # data past the divergence limit fail finite_evolution at step 0, but from
+    # about 3e306 the entry's plus-projection test overflows before that
+    if key == "amplitude" and not -1e300 <= value <= 1e300:
+        raise UsageError(f"amplitude must lie in [-1e300, 1e300], got {value!r}")
     if key in ("lorenz_tol", "rtol", "t_window") and not value > 0.0:
         raise UsageError(f"{key} must be positive, got {value!r}")
     # far outside this range the norms' powers of 2 pi / length or pi / t_window overflow

@@ -60,6 +60,7 @@ class ConeProbe:
         xi = np.asarray(self.xi, dtype=float)
         if xi.shape != (2,):
             raise ValueError(f"xi must be a 2-vector, got shape {xi.shape}")
+        _surface(self.tau, xi)
         if not 1.0 < self.p <= 2.0:
             raise ValueError(f"p must lie in (1, 2], got {self.p}")
         object.__setattr__(self, "xi", (float(xi[0]), float(xi[1])))
@@ -80,6 +81,17 @@ class DeltaIntegralResult:
     value: float
     quadrature_points: int
     est_error: float
+
+
+def _surface(tau, xi):
+    """tau, xi and |xi| as floats; no quadrature settles on a nan or inf, so either is refused."""
+    xi = np.asarray(xi, dtype=float)
+    tau = float(tau)
+    if not np.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError(f"xi must be finite, got {tuple(xi.tolist())}")
+    return tau, xi, float(np.hypot(*xi))
 
 
 def _panel_nodes(lo, hi, n_panels):
@@ -116,9 +128,7 @@ def delta_integral_plus(f, tau, xi, rtol=1e-6):
     f must accept points of shape (..., 2).  tau > |xi| is required;
     at tau = |xi| the ellipse collapses onto the focal segment.
     """
-    xi = np.asarray(xi, dtype=float)
-    mag = float(np.hypot(*xi))
-    tau = float(tau)
+    tau, xi, mag = _surface(tau, xi)
     if tau <= mag:
         raise DegenerateInputError(f"plus surface needs tau > |xi|, got tau={tau}, |xi|={mag}")
     beta = np.arctan2(xi[1], xi[0]) if mag > 0.0 else 0.0
@@ -143,9 +153,7 @@ def delta_integral_minus(f, tau, xi, rtol=1e-6, interaction_band=None):
     unbounded, so f has to decay; truncation is doubled together with
     the panel count until the value settles.
     """
-    xi = np.asarray(xi, dtype=float)
-    mag = float(np.hypot(*xi))
-    tau = float(tau)
+    tau, xi, mag = _surface(tau, xi)
     if abs(tau) >= mag:
         raise DegenerateInputError(
             f"minus surface needs |tau| < |xi|, got tau={tau}, |xi|={mag}"
@@ -307,9 +315,7 @@ def mollified_oracle_plus(f, tau, xi):
     extrapolated.  Independent of the coarea weight used by the direct
     quadrature, so agreement validates that change of variables.
     """
-    xi = np.asarray(xi, dtype=float)
-    mag = float(np.hypot(*xi))
-    tau = float(tau)
+    tau, xi, mag = _surface(tau, xi)
     if tau <= mag:
         raise DegenerateInputError(f"plus surface needs tau > |xi|, got tau={tau}, |xi|={mag}")
     beta = np.arctan2(xi[1], xi[0]) if mag > 0.0 else 0.0
@@ -343,9 +349,7 @@ def mollified_oracle_minus(f, tau, xi):
     and integrating a Gaussian window across it; the sweep stops at
     |y| = 12, so f must be negligible beyond it.
     """
-    xi = np.asarray(xi, dtype=float)
-    mag = float(np.hypot(*xi))
-    tau = float(tau)
+    tau, xi, mag = _surface(tau, xi)
     if abs(tau) >= mag:
         raise DegenerateInputError(
             f"minus surface needs |tau| < |xi|, got tau={tau}, |xi|={mag}"

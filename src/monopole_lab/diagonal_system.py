@@ -18,15 +18,17 @@ independent cross-check of the time stepper.
 
 One engine implements the step, for su(n) pairs of any rank n read off
 each array it is given.  The solver holds only its grid's half-spectrum
-tables and, per rank, the basis and its structure constants, and nothing
-per step size, so one solver serves any rank, any step size and several
-sample streams at once.  It evolves the unsplit pairs in the
-coefficients of the orthonormal su_basis(n): physical fields are real
-d-vectors c, d = n^2 - 1, the bracket is [x, y]_c = f_abc x_a y_b with
-the structure constants f of that basis, and the transforms are
-half-spectrum.  Entry and exit stay in that basis.  Let R be the
-operator with the real symbol -i alpha . xi / |xi| (zero at xi = 0),
-acting on the pair index; R c is a real field and the half waves are
+tables (the wavenumbers, |xi| and the one table _alpha_hat of the wave
+symbol alpha . xi / |xi|) and, per rank, the basis and its structure
+constants, and nothing per step size, so one solver serves any rank, any
+step size and several sample streams at once.  It evolves the unsplit
+pairs in the coefficients of the orthonormal su_basis(n): physical
+fields are real d-vectors c, d = n^2 - 1, the bracket is
+[x, y]_c = f_abc x_a y_b with the structure constants f of that basis,
+and the transforms are half-spectrum.  Entry and exit stay in that
+basis.  Let R be the operator with the real symbol -i alpha . xi / |xi|
+(zero at xi = 0), acting on the pair index, which _plus_part applies
+from _alpha_hat with _propagate; R c is a real field and the half waves are
     P_pm c = (c pm i R c) / 2.
 The entry first tests that a state has the solver's points per side and
 side length, then accepts only pairs that equal the basis sum of their
@@ -43,19 +45,23 @@ entry takes back after the grid test, so chained evolutions add no
 rounding.
 The exact linear propagator is the per-mode 2 x 2 matrix
     exp(pm i h alpha . xi) = cos(h|xi|) pm i sin(h|xi|) alpha . xihat
-acting on the pair index; since E(h) = E(h/2)^2 a step applies only the
-half-step one, four times.  Projection commutes with every stage, so the
-step agrees to rounding with a projected IF-RK4 on the matrix pairs;
-tests enforce this.
+acting on the pair index, which _square_phase builds from the same
+_alpha_hat, so the propagator e^{ih|xi|} P_+ + e^{-ih|xi|} P_- and the
+split cannot disagree in a sign.  Since E(h) = E(h/2)^2 a step applies
+only the half-step one, four times.  Projection commutes with every
+stage, so the step agrees to rounding with a projected IF-RK4 on the
+matrix pairs; tests enforce this.
 
 One loop, the generator that HalfWaveSolver.samples returns, steps the
 engine and yields read-only spectra and products at sampled instants, and
 pairs turns the spectra into u and v; evolve, evolve_with_residuals and the
 CLI's simulate consume it, and nothing else calls the step.  Each stream
 builds its own half-step table E(h/2) once, with _phases, which also gives
-the Duhamel iteration its flows.  samples refuses unusable counts, a
-non-finite step size, a state that fails the entry and entry spectra past
-the divergence limit at its call, before the generator is advanced.
+the Duhamel iteration its flows.  samples refuses unusable counts (a
+bool among them), a step size that is not a finite real number, a state
+that fails the entry and entry spectra past the divergence limit at its
+call, before the generator is advanced; picard_iterates refuses the same
+counts and an end time that is not a finite, positive real number.
 
 The step runs in two lanes, one per pair, that meet only where the pairs
 couple: inside each nonlinearity, lane w transforms pair w back and takes
@@ -276,13 +282,16 @@ def _require(test, what, defect, tol):
 
 
 def _require_count(name, value, minimum):
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
 
 
-def _require_finite(name, value):
+def _require_real(name, value):
+    """A step size or end time: a finite real number, numpy's included, but no bool or complex."""
+    if isinstance(value, (bool, np.bool_)) or np.iscomplexobj(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
 
@@ -305,11 +314,12 @@ class HalfWaveSolver:
         self._kx_r = grid.kx[:, :nh]
         self._ky_r = grid.ky[:, :nh]
         self._mag_r = grid.kabs[:, :nh]
-        safe = np.where(self._mag_r == 0.0, 1.0, self._mag_r)
-        self._hat_r = (
-            np.where(self._mag_r == 0.0, 0.0, self._kx_r / safe),
-            np.where(self._mag_r == 0.0, 0.0, self._ky_r / safe),
-        )
+        # alpha . xi / |xi| = [[xi1, xi2], [xi2, -xi1]] / |xi| per mode, zero at xi = 0
+        a = self._alpha_hat = np.zeros((2, 2, *self._mag_r.shape))
+        np.divide(self._kx_r, self._mag_r, out=a[0, 0], where=self._mag_r != 0.0)
+        np.divide(self._ky_r, self._mag_r, out=a[0, 1], where=self._mag_r != 0.0)
+        a[1, 0] = a[0, 1]
+        np.negative(a[0, 0], out=a[1, 1])
         self._lie_tables = {}
         self._threaded = engine_threads(grid) == 2
 
@@ -375,14 +385,10 @@ class HalfWaveSolver:
 
         c holds the physical coefficients (2, d, N, N) of one pair and
         pair_hat their half spectrum.  R has the real symbol
-        -i alpha . xi / |xi|, so R c is a real field too.
+        -i alpha . xi / |xi|, so R c is a real field too; it is applied
+        from _alpha_hat, the table that _square_phase builds E from.
         """
-        h1, h2 = self._hat_r
-        r_hat = np.empty_like(pair_hat)
-        np.multiply(h1, pair_hat[0], out=r_hat[0])
-        r_hat[0] += h2 * pair_hat[1]
-        np.multiply(h2, pair_hat[0], out=r_hat[1])
-        r_hat[1] -= h1 * pair_hat[1]
+        r_hat = self._propagate(self._alpha_hat, pair_hat)
         r_hat *= -1j
         return self._matrices(0.5 * (c + 1j * self._fields(r_hat)))
 
@@ -424,15 +430,11 @@ class HalfWaveSolver:
         return np.stack([self._square_phase(t), self._square_phase(-t)])
 
     def _square_phase(self, h):
-        """exp(i h alpha . xi) tabulated on the half-spectrum grid."""
+        """exp(i h alpha . xi) = cos(h|xi|) I + i sin(h|xi|) _alpha_hat on the half-spectrum grid."""
         cos = np.cos(h * self._mag_r)
-        sin = np.sin(h * self._mag_r)
-        h1, h2 = self._hat_r
-        e = np.empty((2, 2, *self._mag_r.shape), dtype=np.complex128)
-        e[0, 0] = cos + 1j * sin * h1
-        e[1, 1] = cos - 1j * sin * h1
-        e[0, 1] = 1j * sin * h2
-        e[1, 0] = e[0, 1]
+        e = self._alpha_hat * (1j * np.sin(h * self._mag_r))
+        e[0, 0] += cos
+        e[1, 1] += cos
         return e
 
     def _propagate(self, e, y, out=None):
@@ -626,7 +628,7 @@ class HalfWaveSolver:
         _require_count("n_steps", n_steps, 0)
         _require_count("sample_every", sample_every, 1)
         h = self.grid.dt if h is None else h
-        _require_finite("h", h)
+        _require_real("h", h)
         y = self._to_coeffs(state)
         _check_finite(y, 0, h)
         return self._stepping(y, n_steps, sample_every, h)
@@ -690,7 +692,9 @@ class HalfWaveSolver:
 
         _require_count("n_steps", n_steps, 1)
         _require_count("n_iterations", n_iterations, 0)
-        _require_finite("t_final", t_final)
+        _require_real("t_final", t_final)
+        if t_final <= 0:
+            raise ValueError(f"t_final must be positive, got {t_final}")
         y0 = self._to_coeffs(state)
         times = np.linspace(0.0, t_final, n_steps + 1)
         flows = [self._phases(t) for t in times]

@@ -172,7 +172,7 @@ def random_band_limited(rng, grid, kmax, shape=(), scale=1.0):
 
 
 def dilate(field, grid, lam):
-    """Rescaling x -> lam * x, for any lam > 0, realized by shrinking the period.
+    """Rescaling x -> lam * x, for any finite lam > 0, realized by shrinking the period.
 
     The samples of f(lam x) on the grid of period L/lam coincide with the
     samples of f on the original grid, so the returned field is just a
@@ -181,6 +181,8 @@ def dilate(field, grid, lam):
     wavevectors dilate by lam, exactly.
     """
     field = np.asarray(field)
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     new_grid = GridSpec(grid.n_points, grid.length / lam, grid.dt / lam)

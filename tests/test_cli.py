@@ -168,6 +168,11 @@ def test_unusable_values_exit_2(tmp_path, capsys):
         ("verify-norms", "1e300"), ("scaling", "1e300"),
     ):
         _assert_usage_error(tmp_path, capsys, [command, f"length={length}"], "length must lie in [1e-6, 1e6]")
+    # random data so large that the engine's entry would overflow
+    for command in ("simulate", "residuals"):
+        for amplitude in ("1e308", "-1e308", "3e306"):
+            args = [command, f"amplitude={amplitude}", "steps=3"]
+            _assert_usage_error(tmp_path, capsys, args, "amplitude must lie in [-1e300, 1e300]")
     # time lattices that cannot hold the widest window or resolve the narrowest,
     # and a t_window whose powers overflow
     for args, message in (

@@ -61,6 +61,23 @@ def test_surfaces_reject_degenerate_probes():
         delta_integral_minus(one, -2.0, (1.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "tau, xi",
+    [(np.nan, (1.0, 0.0)), (np.inf, (1.0, 0.0)), (0.5, (np.nan, 0.0)), (0.5, (1.0, -np.inf))],
+    ids=["nan-tau", "infinite-tau", "nan-xi", "infinite-xi"],
+)
+def test_probes_and_surfaces_refuse_non_finite_tau_and_xi(tau, xi):
+    # no quadrature settles on such a point (it would double up to its cap
+    # and return nan), so each refusal names the argument at the call
+    name = "tau" if not np.isfinite(tau) else "xi"
+    one = lambda pts: np.ones(pts.shape[:-1])
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ConeProbe(tau=tau, xi=xi, p=1.5)
+    for surface in (delta_integral_plus, delta_integral_minus):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            surface(one, tau, xi)
+
+
 def test_plus_constant_integrand_closed_form():
     # at xi = 0 the surface is the circle |eta| = tau/2 with weight tau/4,
     # so a unit integrand gives pi tau / 2

@@ -31,6 +31,7 @@ from monopole_lab.grid_spectral import (
     GridSpec,
     fft_forward,
     fft_inverse,
+    projection_matrices,
     random_band_limited,
 )
 from monopole_lab.lie import coefficients, dagger, su_basis
@@ -504,6 +505,17 @@ def test_a_step_holds_three_stage_buffers(rng, grid32):
         (lambda solver, s: solver.samples(s, 2, h=-np.inf), "h must be finite, got -inf"),
         (lambda solver, s: solver.picard_iterates(s, np.nan, 4, 1), "t_final must be finite, got nan"),
         (lambda solver, s: solver.picard_iterates(s, np.inf, 4, 1), "t_final must be finite, got inf"),
+        # a bool or a complex is not a step, an end time or a count
+        (lambda solver, s: solver.evolve(s, 2, h=1e-3 + 1e-3j), r"h must be a real number, got \(0.001\+0.001j\)"),
+        (lambda solver, s: solver.evolve(s, 2, h=True), "h must be a real number, got True"),
+        (lambda solver, s: solver.samples(s, 2, h=np.True_), "h must be a real number, got np.True_"),
+        (lambda solver, s: solver.picard_iterates(s, 1e-3 + 0j, 2, 1), r"t_final must be a real number, got \(0.001\+0j\)"),
+        (lambda solver, s: solver.picard_iterates(s, True, 2, 1), "t_final must be a real number, got True"),
+        (lambda solver, s: solver.evolve(s, True), "n_steps must be a whole number, got True"),
+        (lambda solver, s: solver.samples(s, 4, True), "sample_every must be a whole number, got True"),
+        # an end time that is not after the start, whatever the iteration count
+        (lambda solver, s: solver.picard_iterates(s, 0.0, 4, 1), "t_final must be positive, got 0.0"),
+        (lambda solver, s: solver.picard_iterates(s, -1e-3, 4, 0), "t_final must be positive, got -0.001"),
     ],
     ids=[
         "evolve-negative-steps", "residuals-negative-steps", "sample-every-zero", "sample-every-negative",
@@ -511,6 +523,9 @@ def test_a_step_holds_three_stage_buffers(rng, grid32):
         "samples-every-zero", "picard-zero-steps", "picard-negative-iterations",
         "evolve-nan-step", "evolve-infinite-step", "samples-minus-infinite-step",
         "picard-nan-end", "picard-infinite-end",
+        "evolve-complex-step", "evolve-bool-step", "samples-numpy-bool-step", "picard-complex-end",
+        "picard-bool-end", "evolve-bool-steps", "samples-bool-every", "picard-zero-end",
+        "picard-negative-end",
     ],
 )
 def test_evolve_refuses_unusable_counts(rng, grid, call, message):
@@ -525,6 +540,24 @@ def test_fast_engine_exit_matches_diagonal_split(rng):
     final = HalfWaveSolver(grid).evolve(state, 5)
     oracle = diagonal_split(grid, final.u(), final.v())
     assert state_distance(final, oracle) < 1e-14 * state_max_abs(final)
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_the_symbol_table_and_the_propagator_match_the_projections(n):
+    # one table alpha . xi / |xi| serves the split and the propagator; at
+    # every half-spectrum mode, xi = 0 included, it must be 2 P+ - I, and
+    # E(h) must be e^{ih|xi|} P+ + e^{-ih|xi|} P-
+    grid = GridSpec(n, 2 * np.pi, 1e-3)
+    solver = HalfWaveSolver(grid)
+    half = np.s_[:, : n // 2 + 1]
+    xi = np.stack([grid.kx[half], grid.ky[half]], axis=-1)
+    plus, minus = projection_matrices(+1, xi), projection_matrices(-1, xi)
+    per_mode = lambda table: np.moveaxis(table, (0, 1), (-2, -1))
+    assert np.max(np.abs(per_mode(solver._alpha_hat) - (2 * plus - np.eye(2)))) <= 1e-14
+    mag = grid.kabs[half][..., None, None]
+    for h in (0.5 * grid.dt, -0.37, 2.0):
+        oracle = np.exp(1j * h * mag) * plus + np.exp(-1j * h * mag) * minus
+        assert np.max(np.abs(per_mode(solver._square_phase(h)) - oracle)) <= 1e-14
 
 
 def test_fft_workers_from_scipy_do_not_change_the_evolution(rng, grid32):

@@ -207,3 +207,7 @@ def test_dilate_identity_any_positive_lam_and_refusal(rng, grid):
     # L / lam overflows: the grid refuses the infinite side
     with pytest.raises(ValueError, match="length must be finite"):
         dilate(f, grid, 1e-308)
+    # a non-finite lam is named, not the side length it would make
+    for lam in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"lam must be finite, got {lam}"):
+            dilate(f, grid, lam)
