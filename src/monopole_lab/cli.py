@@ -384,6 +384,8 @@ def _run_verify_norms(config, grid, rng):
         defect = abs(lhs - rhs) / rhs
         worst_defect = max(worst_defect, defect)
         ratio = embedding_check(sample, grid, params, lhs)
+        # the next tuple builds its sample without this one beside it
+        del sample
         c_emb = embedding_constant(params.b, params.p)
         worst_embed = max(worst_embed, ratio / c_emb)
         rows.append(

@@ -108,7 +108,13 @@ def _doubled(evaluate, rtol):
     """Double the points of evaluate(n_points, round) until the value settles.
 
     evaluate returns (value, points used); round counts the doublings.
+    A nan or nonpositive rtol could never be met and would run to the
+    point cap, so it is refused.
     """
+    if isinstance(rtol, (bool, np.bool_)) or np.iscomplexobj(rtol) or not (
+        np.isfinite(rtol) and rtol > 0.0
+    ):
+        raise ValueError(f"rtol must be a finite positive number, got {rtol!r}")
     value, used = evaluate(_N_START, 0)
     err = np.inf
     rounds = 0

@@ -30,10 +30,19 @@ along the last axis of a time-last view, so scipy zero-pads each time
 line, refining dtau to pi / (_TAU_PAD T_w) and restoring spectral
 agreement.  Both sides of every comparison use the same padded lattice.
 free_wave_sample stores its values time-last behind the (time, xi...)
-axes, so that view is contiguous.  The weight <-tau + sign |xi|>^b and
-the free-wave phases depend on xi only through |xi|: they are tabulated
-on the grid's distinct |xi| levels (GridSpec.kabs_levels) and gathered,
-so each point still gets the value of its own |xi|.
+axes, so that view is contiguous.  The weight <-tau + sign |xi|>^b, the
+spatial weight and the free-wave phases depend on xi only through |xi|:
+they are tabulated once per call on the grid's distinct |xi| levels
+(GridSpec.kabs_levels) and gathered, so each point still gets the value
+of its own |xi|.
+
+The padded lattice is never held whole.  xsb_norm and embedding_check
+run slab by slab over xi_1: each slab of rows is transformed, weighted
+and raised to p', and only its partial sum is kept, so the memory a norm
+holds beyond its sample is one slab of about _SLAB_BYTES and the weight
+table, whatever n_t and the extra axes.  Every lattice point sees the
+same arithmetic as in one whole-lattice pass; only the order of the sum
+changes, which moves the last bits.
 
 The bilinear probe evaluates the angle-weighted convolution
 
@@ -58,6 +67,8 @@ from .grid_spectral import dilate
 
 MAX_ACTIVE_MODES = 4096
 _TAU_PAD = 4
+# bytes of one xi_1 slab of a lattice: 2 MiB, at least one row
+_SLAB_BYTES = 2**21
 
 
 def conjugate_exponent(p):
@@ -90,6 +101,13 @@ def tau_lattice(n_t, t_window):
     return 2.0 * np.pi * np.fft.fftfreq(n_t, d=2.0 * t_window / n_t)
 
 
+def _check_t_window(t_window):
+    if isinstance(t_window, (bool, np.bool_)) or np.iscomplexobj(t_window) or not (
+        np.isfinite(t_window) and t_window > 0.0
+    ):
+        raise ValueError(f"t_window must be a finite positive number, got {t_window!r}")
+
+
 @dataclass(frozen=True)
 class SpaceTimeSample:
     """Windowed space-time field as Fourier coefficients, axes (time, xi_1, xi_2, extra...)."""
@@ -102,29 +120,49 @@ class SpaceTimeSample:
         values = np.asarray(self.values, dtype=complex)
         if values.ndim < 3 or values.shape[1] != values.shape[2]:
             raise ValueError(f"expected (n_t, N, N, ...) values, got {values.shape}")
+        if values.shape[0] == 0:
+            raise ValueError(f"values need at least one time sample, got {values.shape}")
+        _check_t_window(self.t_window)
         object.__setattr__(self, "values", values)
 
 
-def _time_transform(values, t_window):
-    """Zero-padded time transform along axis 0, its tau lattice and the spacing dtau.
+def _sample_values(sample, grid):
+    """The sample's values, after checking that their xi axes are the grid's."""
+    values = sample.values
+    if values.shape[1] != grid.n_points:
+        raise ValueError(f"sample shape {values.shape} does not match grid n={grid.n_points}")
+    return values
+
+
+def _padded_taus(n_t, t_window):
+    """The padded tau lattice of n_t samples on [-T_w, T_w) and its spacing dtau."""
+    return tau_lattice(_TAU_PAD * n_t, _TAU_PAD * t_window), np.pi / (_TAU_PAD * t_window)
+
+
+def _time_transform(values, t_window, taus):
+    """Zero-padded time transform along axis 0 on the padded lattice taus.
 
     scipy pads each time line of a time-last view; the transform it
     returns is a time-first view of a time-last array.
     """
     n_t = values.shape[0]
-    taus = tau_lattice(_TAU_PAD * n_t, _TAU_PAD * t_window)
     tilde = _fft.fft(np.moveaxis(values, 0, -1), n=_TAU_PAD * n_t, axis=-1)
     tilde *= 2.0 * t_window / n_t
     tilde *= np.exp(1j * taus * t_window)
-    return np.moveaxis(tilde, -1, 0), taus, np.pi / (_TAU_PAD * t_window)
+    return np.moveaxis(tilde, -1, 0)
 
 
-def _lp(weighted, cell, p, axis):
-    """Weighted l^{p'} sum of a lattice with cell volume cell; overwrites weighted."""
-    pprime = conjugate_exponent(p)
+def _slabs(n_rows, row_bytes):
+    """Slices of n_rows xi_1 rows of row_bytes each: _SLAB_BYTES apiece, at least one row."""
+    rows = max(1, _SLAB_BYTES // row_bytes)
+    return [slice(r0, r0 + rows) for r0 in range(0, n_rows, rows)]
+
+
+def _lp_sum(weighted, cell, pprime, axis):
+    """Sum of weighted^p' times the cell volume; overwrites weighted."""
     weighted **= pprime
     weighted *= cell
-    return np.sum(weighted, axis=axis) ** (1.0 / pprime)
+    return np.sum(weighted, axis=axis)
 
 
 def _magnitude(data, lattice_ndim):
@@ -135,14 +173,14 @@ def _magnitude(data, lattice_ndim):
     return mag
 
 
-def _spatial_weight(grid, s, homogeneous):
+def _spatial_weight(kabs, s, homogeneous):
     if not homogeneous:
-        return (1.0 + grid.kabs**2) ** (0.5 * s)
+        return (1.0 + kabs**2) ** (0.5 * s)
     # |0|^s: zero for s > 0 by continuity, one for s = 0; negative s would
     # put infinite weight on the mean mode, which the continuum integral
     # never sees, so the mode is dropped
-    safe = np.where(grid.kabs > 0.0, grid.kabs, 1.0)
-    return np.where(grid.kabs > 0.0, safe**s, 1.0 if s == 0.0 else 0.0)
+    safe = np.where(kabs > 0.0, kabs, 1.0)
+    return np.where(kabs > 0.0, safe**s, 1.0 if s == 0.0 else 0.0)
 
 
 def hsp_norm(field, grid, s, p, homogeneous=False):
@@ -151,35 +189,62 @@ def hsp_norm(field, grid, s, p, homogeneous=False):
     n = grid.n_points
     if field.shape[:2] != (n, n):
         raise ValueError(f"field shape {field.shape} does not match grid n={n}")
+    pprime = conjugate_exponent(p)
     coeffs = _fft.fft2(field, axes=(0, 1), norm="forward")
-    weighted = _spatial_weight(grid, s, homogeneous) * _magnitude(coeffs, 2)
-    return float(_lp(weighted, (2.0 * np.pi / grid.length) ** 2, p, None))
+    weighted = _spatial_weight(grid.kabs, s, homogeneous) * _magnitude(coeffs, 2)
+    total = _lp_sum(weighted, (2.0 * np.pi / grid.length) ** 2, pprime, None)
+    return float(total ** (1.0 / pprime))
 
 
 def hbp_norm_1d(profile, t_window, b, p):
     """One-dimensional <tau>^b weighted norm of a windowed time profile."""
-    hat, taus, dtau = _time_transform(np.asarray(profile, dtype=complex), t_window)
-    return float(_lp((1.0 + taus**2) ** (0.5 * b) * np.abs(hat), dtau, p, None))
+    _check_t_window(t_window)
+    pprime = conjugate_exponent(p)
+    profile = np.asarray(profile, dtype=complex)
+    taus, dtau = _padded_taus(profile.shape[0], t_window)
+    hat = _time_transform(profile, t_window, taus)
+    weighted = (1.0 + taus**2) ** (0.5 * b) * np.abs(hat)
+    return float(_lp_sum(weighted, dtau, pprime, None) ** (1.0 / pprime))
 
 
-def _xsb_of_magnitude(mag, grid, taus, dtau, s, b, p, sign):
-    """Norm of a (tau, xi_1, xi_2) magnitude lattice, which it overwrites."""
+def _weight_table(grid, taus, s, b, sign):
+    """<xi>^s <-tau + sign |xi|>^b on the |xi| levels, axes (level, tau), and each point's level."""
     levels, index = grid.kabs_levels
-    modulation = -taus + sign * levels[:, np.newaxis]
-    weight = ((1.0 + modulation**2) ** (0.5 * b))[index]
-    weight *= _spatial_weight(grid, s, False)[..., np.newaxis]
-    mag *= np.moveaxis(weight, -1, 0)
-    return float(_lp(mag, dtau * (2.0 * np.pi / grid.length) ** 2, p, None))
+    table = np.subtract.outer(sign * levels, taus)
+    table **= 2
+    table += 1.0
+    table **= 0.5 * b
+    table *= _spatial_weight(levels, s, False)[:, np.newaxis]
+    return table, index
+
+
+def _xsb_slab(mag, table, index, cell, pprime):
+    """Sum of (weight |u~|)^p' dcell over one (tau, rows, xi_2) magnitude slab, which it overwrites.
+
+    table is _weight_table's, and index holds the |xi| level of each of
+    the slab's (rows, xi_2) points.
+    """
+    mag *= np.moveaxis(table[index], -1, 0)
+    return _lp_sum(mag, cell, pprime, None)
 
 
 def xsb_norm(sample, grid, s, b, p, sign):
     """Wave-adapted space-time norm with weight <xi>^s <-tau + sign |xi|>^b."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    tilde, taus, dtau = _time_transform(sample.values, sample.t_window)
-    mag = _magnitude(tilde, 3)
-    del tilde
-    return _xsb_of_magnitude(mag, grid, taus, dtau, s, b, p, sign)
+    values = _sample_values(sample, grid)
+    pprime = conjugate_exponent(p)
+    taus, dtau = _padded_taus(values.shape[0], sample.t_window)
+    table, index = _weight_table(grid, taus, s, b, sign)
+    cell = dtau * (2.0 * np.pi / grid.length) ** 2
+    row_bytes = values[0, 0].nbytes * _TAU_PAD * values.shape[0]
+    total = 0.0
+    for rows in _slabs(values.shape[1], row_bytes):
+        # no name holds a slab's arrays while the next slab is built
+        mag = _magnitude(_time_transform(values[:, rows], sample.t_window, taus), 3)
+        total += _xsb_slab(mag, table, index[rows], cell, pprime)
+        del mag
+    return float(total ** (1.0 / pprime))
 
 
 def gaussian_window(times, width):
@@ -199,13 +264,17 @@ def free_wave_sample(grid, field, sign, width, t_window=2.0, n_t=256):
     n = grid.n_points
     if field.shape[:2] != (n, n):
         raise ValueError(f"field shape {field.shape} does not match grid n={n}")
+    if n_t < 1:
+        raise ValueError(f"n_t must be at least 1, got {n_t!r}")
     dt = 2.0 * t_window / n_t
     times = -t_window + dt * np.arange(n_t)
     profile = gaussian_window(times, width)
     levels, index = grid.kabs_levels
-    waves = (profile * np.exp(1j * sign * levels[:, np.newaxis] * times))[index]
-    coeffs = _fft.fft2(field, axes=(0, 1), norm="forward")
-    values = waves.reshape((n, n) + (1,) * (field.ndim - 2) + (n_t,)) * coeffs[..., np.newaxis]
+    waves = profile * np.exp(1j * sign * levels[:, np.newaxis] * times)
+    # one gather into the full (xi_1, xi_2, extra..., time) sample, then the coefficients
+    index = np.broadcast_to(index.reshape(index.shape + (1,) * (field.ndim - 2)), field.shape)
+    values = waves[index]
+    values *= _fft.fft2(field, axes=(0, 1), norm="forward")[..., np.newaxis]
     return SpaceTimeSample(values=np.moveaxis(values, -1, 0), t_window=t_window, window=profile)
 
 
@@ -243,10 +312,17 @@ def embedding_check(sample, grid, params, xsb):
     """
     if params.p * params.b <= 1.0:
         raise ValueError(f"embedding needs p*b > 1, got {params.p * params.b}")
+    values = _sample_values(sample, grid)
     if xsb == 0.0:
         return 0.0
-    weighted = _spatial_weight(grid, params.s, False) * _magnitude(sample.values, 3)
-    return float(np.max(_lp(weighted, (2.0 * np.pi / grid.length) ** 2, params.p, (1, 2)))) / xsb
+    pprime = conjugate_exponent(params.p)
+    weight = _spatial_weight(grid.kabs, params.s, False)
+    cell = (2.0 * np.pi / grid.length) ** 2
+    # the per-time sums gather slab by slab over xi_1, like xsb_norm's
+    sums = 0.0
+    for rows in _slabs(values.shape[1], values[:, 0].nbytes):
+        sums += _lp_sum(weight[rows] * _magnitude(values[:, rows], 3), cell, pprime, (1, 2))
+    return float(np.max(sums ** (1.0 / pprime))) / xsb
 
 
 def homogeneous_factorization_check(field, width, grid, params, sign, t_window=2.0, n_t=256):
@@ -327,11 +403,14 @@ def key_bilinear_probe(phi_tilde, psi_tilde, grid, params, sign, t_window=2.0):
     """
     out = _convolve(phi_tilde, psi_tilde, grid, sign, t_window)
     taus = tau_lattice(out.shape[0], t_window)
-    dtau = np.pi / t_window
+    cell = (np.pi / t_window) * (2.0 * np.pi / grid.length) ** 2
+    pprime = conjugate_exponent(params.p)
 
     def norm(tilde, b, wave_sign):
+        # the whole (tau, xi) lattice is one slab: probe data are small
+        table, index = _weight_table(grid, taus, params.s, b, wave_sign)
         mag = _magnitude(np.asarray(tilde), 3)
-        return _xsb_of_magnitude(mag, grid, taus, dtau, params.s, b, params.p, wave_sign)
+        return _xsb_slab(mag, table, index, cell, pprime) ** (1.0 / pprime)
 
     lhs = norm(out, 0.0, 1)
     rhs = norm(phi_tilde, params.b, 1) * norm(psi_tilde, params.b, sign)

@@ -78,6 +78,24 @@ def test_probes_and_surfaces_refuse_non_finite_tau_and_xi(tau, xi):
             surface(one, tau, xi)
 
 
+@pytest.mark.parametrize("rtol", [np.nan, -1.0, 0.0, np.inf, True, 1e-6 + 0j])
+def test_integrals_and_kernels_refuse_an_unusable_rtol(rtol):
+    # a nan or nonpositive tolerance can never be met: the doubling would
+    # run to its point cap and report est_error 0
+    one = lambda pts: np.ones(pts.shape[:-1])
+    probe = ConeProbe(tau=2.0, xi=(1.0, 0.0), p=1.5)
+    calls = [
+        lambda: delta_integral_plus(one, 2.0, (1.0, 0.0), rtol=rtol),
+        lambda: delta_integral_minus(one, 0.5, (1.0, 0.0), rtol=rtol),
+        lambda: plus_kernel(probe, rtol=rtol),
+        lambda: minus_kernel(ConeProbe(tau=0.5, xi=(1.0, 0.0), p=1.5), rtol=rtol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="rtol must be a finite positive number"):
+            call()
+    assert delta_integral_plus(one, 2.0, (1.0, 0.0)).quadrature_points <= 4096
+
+
 def test_plus_constant_integrand_closed_form():
     # at xi = 0 the surface is the circle |eta| = tau/2 with weight tau/4,
     # so a unit integrand gives pi tau / 2

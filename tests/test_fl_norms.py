@@ -107,6 +107,30 @@ def test_sample_validation():
         SpaceTimeSample(np.zeros((16, 16)), t_window=2.0)
     with pytest.raises(ValueError):
         xsb_norm(SpaceTimeSample(np.zeros((8, 16, 16)), 2.0), GRID, 0.0, 0.0, 1.5, 2)
+    # an empty time axis made xsb_norm divide by zero
+    with pytest.raises(ValueError, match="at least one time sample"):
+        SpaceTimeSample(np.zeros((0, 16, 16)), t_window=2.0)
+    for n_t in (0, -3):
+        with pytest.raises(ValueError, match=f"n_t must be at least 1, got {n_t}"):
+            free_wave_sample(GRID, np.ones((16, 16)), 1, 0.2, n_t=n_t)
+
+
+def test_lattice_norms_refuse_a_sample_from_another_grid():
+    sample = free_wave_sample(GRID, np.ones((16, 16)), 1, 0.2, n_t=32)
+    grid = GridSpec(32, 2.0 * np.pi, 1e-3)
+    with pytest.raises(ValueError, match=r"sample shape \(32, 16, 16\) does not match grid n=32"):
+        xsb_norm(sample, grid, 0.5, 0.5, 1.5, 1)
+    with pytest.raises(ValueError, match="does not match grid n=32"):
+        embedding_check(sample, grid, NormParams.from_eps(0.125), 1.0)
+
+
+@pytest.mark.parametrize("t_window", [-2.0, 0.0, np.nan, np.inf, True, 2.0 + 0j])
+def test_sample_and_time_norm_refuse_an_unusable_window(t_window):
+    # a negative or nan window gave a nan norm and a RuntimeWarning
+    with pytest.raises(ValueError, match="t_window must be"):
+        SpaceTimeSample(np.zeros((8, 16, 16)), t_window=t_window)
+    with pytest.raises(ValueError, match="t_window must be"):
+        hbp_norm_1d(np.ones(8), t_window, 0.5, 1.5)
 
 
 def test_hbp_norm_matches_continuum_gaussian():
@@ -223,6 +247,51 @@ def test_xsb_norm_holds_at_most_two_padded_lattices():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * lattice_bytes
+
+
+@pytest.mark.parametrize("n_t", [256, 1024])
+def test_xsb_norm_holds_two_slabs_and_the_weight_table(n_t):
+    # beyond its sample the norm holds one xi_1 slab of the padded lattice
+    # (its transform, then magnitudes and gathered weights) and the
+    # (|xi| levels, tau) weight table, whatever n_t; the whole padded
+    # lattice is 16 MiB at n_t = 256 and 64 MiB at n_t = 1024
+    grid = GridSpec(32, 2.0 * np.pi, 1e-3)
+    field = random_band_limited(np.random.default_rng(23), grid, 5.0, shape=())
+    sample = free_wave_sample(grid, field, 1, 0.2, n_t=n_t)
+    row_bytes = fl_norms._TAU_PAD * n_t * 32 * np.dtype(complex).itemsize
+    slab_bytes = max(1, fl_norms._SLAB_BYTES // row_bytes) * row_bytes
+    table_bytes = len(grid.kabs_levels[0]) * fl_norms._TAU_PAD * n_t * np.dtype(float).itemsize
+    xsb_norm(sample, grid, 0.8, 0.9, 1.2, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        xsb_norm(sample, grid, 0.8, 0.9, 1.2, 1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * slab_bytes + table_bytes
+
+
+@pytest.mark.parametrize("budget", [1, 2**40], ids=["one-row-slabs", "one-slab"])
+def test_xsb_norm_does_not_depend_on_the_slab_size(monkeypatch, budget):
+    rng = np.random.default_rng(24)
+    field = np.moveaxis(random_band_limited(rng, GRID, 5.0, shape=(2,)), 0, -1)
+    samples = [
+        free_wave_sample(GRID, field[..., 0], 1, 0.2, n_t=128),
+        free_wave_sample(GRID, field, -1, 0.15, n_t=64),
+    ]
+    params = NormParams.from_eps(0.1)
+    want = [
+        [xsb_norm(sample, GRID, params.s, params.b, params.p, sign) for sign in (1, -1)]
+        for sample in samples
+    ]
+    embed = [embedding_check(sample, GRID, params, 1.0) for sample in samples]
+    monkeypatch.setattr(fl_norms, "_SLAB_BYTES", budget)
+    for sample, norms, ratio in zip(samples, want, embed):
+        for sign, norm in zip((1, -1), norms):
+            got = xsb_norm(sample, GRID, params.s, params.b, params.p, sign)
+            assert_allclose(got, norm, rtol=1e-14, atol=0.0)
+        assert_allclose(embedding_check(sample, GRID, params, 1.0), ratio, rtol=1e-14, atol=0.0)
 
 
 def test_factorization_identity():

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from monopole_lab import null_geometry
 from monopole_lab.errors import DegenerateInputError
 from monopole_lab.null_geometry import (
     angle,
@@ -186,6 +189,30 @@ def test_sweep_envelopes_match_frozen_baseline():
     assert env["c_sym"] <= 0.5 + 1e-9
 
 
+def test_sweep_holds_its_pairs_and_one_chunk():
+    # the pairs themselves are 3.2 MB; one pass over all of them held
+    # their (100000, 2, 2) projection matrices and products, 30.8 MiB
+    null_sweep(np.random.default_rng(2024), 1000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        null_sweep(np.random.default_rng(2024), 100_000)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("n_samples", [1, 20_000, 100_000])
+def test_sweep_envelopes_do_not_depend_on_the_chunk(monkeypatch, n_samples):
+    # minima and maxima are exact, so chunks change no bit; all pairs are
+    # drawn before the first chunk, so the stream moves as one draw does
+    rng, reference = np.random.default_rng(2024), np.random.default_rng(2024)
+    chunked = null_sweep(rng, n_samples)
+    random_frequency_pairs(reference, n_samples)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    monkeypatch.setattr(null_geometry, "_CHUNK", n_samples + 1)
+    assert null_sweep(np.random.default_rng(2024), n_samples) == chunked
 def test_joint_vanishing_along_approach_paths(rng):
     thetas = 2.0 ** -np.arange(1, 12)
     c_sym = FROZEN_ENVELOPES["c_sym"]
