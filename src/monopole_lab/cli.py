@@ -35,7 +35,7 @@ from .cone_quadrature import (
     sweep_max,
 )
 from .diagonal_system import HalfWaveSolver, engine_threads, random_diagonal_state
-from .errors import DivergedError
+from .errors import DivergedError, require_count, require_real
 from .fl_norms import (
     NormParams,
     bilinear_sweep,
@@ -48,34 +48,37 @@ from .fl_norms import (
 from .grid_spectral import GridSpec, random_band_limited
 from .null_geometry import approach_defects, null_sweep
 
-# key -> (parser, default, description, lower bound or None); one flat
-# namespace for all commands
+# key -> (parser, default, description, bounds), one flat namespace for all commands;
+# bounds are the keyword arguments of errors.require_count (int) or require_real (float).
+# Past a size's upper bound numpy refuses the array's shape; at it, the other keys at
+# their defaults, each command that reads the key asks for more memory than exists.
 SCHEMA = {
-    "n": (int, 32, "grid points per side, power of two", None),
-    "length": (float, 2.0 * np.pi, "torus side length", None),
-    "dt": (float, 1e-3, "time step", None),
-    "seed": (int, 0, "random generator seed", 0),
-    "out": (str, "runs", "output directory", None),
-    "steps": (int, 200, "evolution steps", 0),
-    "sample_every": (int, 10, "steps between recorded samples", 1),
-    "amplitude": (float, 0.2, "amplitude of random initial data", None),
-    "kmax": (float, 5.0, "band limit of random data", 1),
-    "lorenz_tol": (float, 1e-8, "gauge constraint threshold", None),
-    "null_samples": (int, 100000, "frequency pairs in the null sweep", 1),
-    "rtol": (float, 1e-6, "cone quadrature tolerance", None),
-    "norm_tuples": (int, 20, "factorization tuples to test", 1),
-    "probe_samples": (int, 25, "bilinear probes per (eps, sign)", 1),
-    "n_active": (int, 96, "active modes per probe factor", 1),
-    "probe_n_t": (int, 16, "time lattice size of probe data", 1),
-    "n_t": (int, 256, "time samples of windowed waves", 1),
-    "t_window": (float, 2.0, "half width of the time window", None),
+    "n": (int, 32, "grid points per side, power of two", {"low": 1, "high": 2**24}),
+    # far outside [1e-6, 1e6] the norms' powers of 2 pi / length or pi / t_window overflow
+    "length": (float, 2.0 * np.pi, "torus side length", {"positive": False, "bounds": (1e-6, 1e6)}),
+    # with the largest data that pass step 0, a dt of 1e16 (n=16; 1e20 at n=256) overflows
+    # inside the first step, before the divergence limit; at 1e6 the run ends near 1e175
+    "dt": (float, 1e-3, "time step", {"positive": True, "bounds": (-math.inf, 1e6)}),
+    "seed": (int, 0, "random generator seed", {"low": 0}),
+    "out": (str, "runs", "output directory", {}),
+    "steps": (int, 200, "evolution steps", {"low": 0}),
+    "sample_every": (int, 10, "steps between recorded samples", {"low": 1}),
+    # data past the divergence limit fail finite_evolution at step 0, but from
+    # about 3e306 the entry's plus-projection test overflows before that
+    "amplitude": (float, 0.2, "amplitude of random initial data", {"positive": False, "bounds": (-1e300, 1e300)}),
+    # below 1 only the mean mode is kept and the random fields are constant
+    "kmax": (float, 5.0, "band limit of random data", {"positive": False, "bounds": (1, math.inf)}),
+    "lorenz_tol": (float, 1e-8, "gauge constraint threshold", {"positive": True}),
+    "null_samples": (int, 100000, "frequency pairs in the null sweep", {"low": 1, "high": 10**16}),
+    "rtol": (float, 1e-6, "cone quadrature tolerance", {"positive": True}),
+    "norm_tuples": (int, 20, "factorization tuples to test", {"low": 1}),
+    "probe_samples": (int, 25, "bilinear probes per (eps, sign)", {"low": 1}),
+    "n_active": (int, 96, "active modes per probe factor", {"low": 1}),
+    "probe_n_t": (int, 16, "time lattice size of probe data", {"low": 1, "high": 10**12}),
+    "n_t": (int, 256, "time samples of windowed waves", {"low": 1, "high": 10**16}),
+    "t_window": (float, 2.0, "half width of the time window", {"positive": True, "bounds": (1e-6, 1e6)}),
 }
-
-
-# key -> upper bound of a size: past it numpy refuses the array's shape with
-# a ValueError; at it, the other keys at their defaults, each command that
-# reads the key still asks for more memory than exists, which run refuses
-_MAXIMA = {"n": 2**24, "null_samples": 10**16, "n_t": 10**16, "probe_n_t": 10**12}
+_CHECKS = {int: require_count, float: require_real}
 
 # narrowest and widest gaussian window that verify-norms draws
 _WINDOW_WIDTHS = (0.1, 0.25)
@@ -125,28 +128,18 @@ def _coerce(key, raw):
         raise UsageError(
             f"unknown config key {key!r}; valid keys: {', '.join(sorted(SCHEMA))}"
         )
-    parser, _, _, minimum = SCHEMA[key]
+    parser, _, _, bounds = SCHEMA[key]
     value = raw
     if isinstance(raw, str):
         try:
             value = parser(raw)
         except ValueError:
             raise UsageError(f"invalid value for {key}: {raw!r}") from None
-    if parser is float and not math.isfinite(value):
-        raise UsageError(f"{key} must be finite, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise UsageError(f"{key} must be at least {minimum}, got {value!r}")
-    if key in _MAXIMA and value > _MAXIMA[key]:
-        raise UsageError(f"{key} must be at most {_MAXIMA[key]}, got {value!r}")
-    # data past the divergence limit fail finite_evolution at step 0, but from
-    # about 3e306 the entry's plus-projection test overflows before that
-    if key == "amplitude" and not -1e300 <= value <= 1e300:
-        raise UsageError(f"amplitude must lie in [-1e300, 1e300], got {value!r}")
-    if key in ("lorenz_tol", "rtol", "t_window") and not value > 0.0:
-        raise UsageError(f"{key} must be positive, got {value!r}")
-    # far outside this range the norms' powers of 2 pi / length or pi / t_window overflow
-    if key in ("length", "t_window") and not 1e-6 <= value <= 1e6:
-        raise UsageError(f"{key} must lie in [1e-6, 1e6], got {value!r}")
+    if parser in _CHECKS:
+        try:
+            _CHECKS[parser](key, value, **bounds)
+        except ValueError as err:
+            raise UsageError(str(err)) from None
     return value
 
 

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, require_real
+from .fl_norms import conjugate_exponent
 
 _GL_NODES = 16
 _GL_CACHE = np.polynomial.legendre.leggauss(_GL_NODES)
@@ -61,8 +62,7 @@ class ConeProbe:
         if xi.shape != (2,):
             raise ValueError(f"xi must be a 2-vector, got shape {xi.shape}")
         _surface(self.tau, xi)
-        if not 1.0 < self.p <= 2.0:
-            raise ValueError(f"p must lie in (1, 2], got {self.p}")
+        conjugate_exponent(self.p)
         object.__setattr__(self, "xi", (float(xi[0]), float(xi[1])))
 
     @property
@@ -85,10 +85,9 @@ class DeltaIntegralResult:
 
 def _surface(tau, xi):
     """tau, xi and |xi| as floats; no quadrature settles on a nan or inf, so either is refused."""
+    require_real("tau", tau, positive=False)
     xi = np.asarray(xi, dtype=float)
     tau = float(tau)
-    if not np.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau}")
     if not np.all(np.isfinite(xi)):
         raise ValueError(f"xi must be finite, got {tuple(xi.tolist())}")
     return tau, xi, float(np.hypot(*xi))
@@ -111,10 +110,7 @@ def _doubled(evaluate, rtol):
     A nan or nonpositive rtol could never be met and would run to the
     point cap, so it is refused.
     """
-    if isinstance(rtol, (bool, np.bool_)) or np.iscomplexobj(rtol) or not (
-        np.isfinite(rtol) and rtol > 0.0
-    ):
-        raise ValueError(f"rtol must be a finite positive number, got {rtol!r}")
+    require_real("rtol", rtol, positive=True)
     value, used = evaluate(_N_START, 0)
     err = np.inf
     rounds = 0

@@ -57,11 +57,12 @@ engine and yields read-only spectra and products at sampled instants, and
 pairs turns the spectra into u and v; evolve, evolve_with_residuals and the
 CLI's simulate consume it, and nothing else calls the step.  Each stream
 builds its own half-step table E(h/2) once, with _phases, which also gives
-the Duhamel iteration its flows.  samples refuses unusable counts (a
-bool among them), a step size that is not a finite real number, a state
-that fails the entry and entry spectra past the divergence limit at its
-call, before the generator is advanced; picard_iterates refuses the same
-counts and an end time that is not a finite, positive real number.
+the Duhamel iteration its flows.  samples refuses at its call, before the
+generator is advanced, a state that fails the entry, entry spectra past the
+divergence limit, and counts and a step size that the package's one rule
+for numbers, errors.require_count and errors.require_real, refuses;
+picard_iterates refuses the same counts and an end time that is not a
+positive real number.
 
 The step runs in two lanes, one per pair, that meet only where the pairs
 couple: inside each nonlinearity, lane w transforms pair w back and takes
@@ -92,12 +93,12 @@ so the transforms act on contiguous memory.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import DivergedError
+from .errors import DivergedError, require_count, require_real
 from .gauge_fields import MonopoleConfig, random_config
 from .grid_spectral import GridSpec, apply_projection, fft_forward, fft_inverse
 from .lie import bracket, coefficients, from_coefficients, structure_constants, su_basis
@@ -147,7 +148,8 @@ class DiagonalState:
     u_minus: np.ndarray
     v_plus: np.ndarray
     v_minus: np.ndarray
-    _spectra: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    # not a field: HalfWaveSolver._to_state sets it on the states it builds
+    _spectra = None
 
     def __post_init__(self):
         n = self.grid.n_points
@@ -279,21 +281,6 @@ def _require(test, what, defect, tol):
     """The engine's entry refuses a state whose defect in one test exceeds tol."""
     if defect > tol:
         raise ValueError(f"{test} test failed: {what} is off by {defect:.3g} (tolerance {tol:.3g})")
-
-
-def _require_count(name, value, minimum):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
-
-
-def _require_real(name, value):
-    """A step size or end time: a finite real number, numpy's included, but no bool or complex."""
-    if isinstance(value, (bool, np.bool_)) or np.iscomplexobj(value):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _check_finite(y, step, h):
@@ -625,10 +612,10 @@ class HalfWaveSolver:
         divergence limit are checked here, at the call, and the returned
         generator steps.
         """
-        _require_count("n_steps", n_steps, 0)
-        _require_count("sample_every", sample_every, 1)
+        require_count("n_steps", n_steps, 0)
+        require_count("sample_every", sample_every, 1)
         h = self.grid.dt if h is None else h
-        _require_real("h", h)
+        require_real("h", h, positive=False)
         y = self._to_coeffs(state)
         _check_finite(y, 0, h)
         return self._stepping(y, n_steps, sample_every, h)
@@ -650,7 +637,7 @@ class HalfWaveSolver:
 
     def evolve(self, state, n_steps, h=None):
         """Advance n_steps IF-RK4 steps of size h (default grid.dt), sampling the two ends only."""
-        for _, y, products in self.samples(state, n_steps, max(n_steps, 1), h):
+        for _, y, products in self.samples(state, n_steps, n_steps or 1, h):
             del products  # not kept through the steps that follow
         return self._to_state(y)
 
@@ -690,11 +677,9 @@ class HalfWaveSolver:
         # imported on use: scipy.integrate also loads scipy.optimize, .sparse and .linalg
         from scipy.integrate import cumulative_simpson
 
-        _require_count("n_steps", n_steps, 1)
-        _require_count("n_iterations", n_iterations, 0)
-        _require_real("t_final", t_final)
-        if t_final <= 0:
-            raise ValueError(f"t_final must be positive, got {t_final}")
+        require_count("n_steps", n_steps, 1)
+        require_count("n_iterations", n_iterations, 0)
+        require_real("t_final", t_final, positive=True)
         y0 = self._to_coeffs(state)
         times = np.linspace(0.0, t_final, n_steps + 1)
         flows = [self._phases(t) for t in times]

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, require_count, require_real
 from .grid_spectral import dilate
 
 MAX_ACTIVE_MODES = 4096
@@ -72,6 +72,8 @@ _SLAB_BYTES = 2**21
 
 
 def conjugate_exponent(p):
+    """p' = p / (p - 1) of an exponent p in (1, 2], which it refuses outside."""
+    require_real("p", p, positive=False)
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must lie in (1, 2], got {p}")
     return p / (p - 1.0)
@@ -101,13 +103,6 @@ def tau_lattice(n_t, t_window):
     return 2.0 * np.pi * np.fft.fftfreq(n_t, d=2.0 * t_window / n_t)
 
 
-def _check_t_window(t_window):
-    if isinstance(t_window, (bool, np.bool_)) or np.iscomplexobj(t_window) or not (
-        np.isfinite(t_window) and t_window > 0.0
-    ):
-        raise ValueError(f"t_window must be a finite positive number, got {t_window!r}")
-
-
 @dataclass(frozen=True)
 class SpaceTimeSample:
     """Windowed space-time field as Fourier coefficients, axes (time, xi_1, xi_2, extra...)."""
@@ -122,7 +117,7 @@ class SpaceTimeSample:
             raise ValueError(f"expected (n_t, N, N, ...) values, got {values.shape}")
         if values.shape[0] == 0:
             raise ValueError(f"values need at least one time sample, got {values.shape}")
-        _check_t_window(self.t_window)
+        require_real("t_window", self.t_window, positive=True)
         object.__setattr__(self, "values", values)
 
 
@@ -198,9 +193,11 @@ def hsp_norm(field, grid, s, p, homogeneous=False):
 
 def hbp_norm_1d(profile, t_window, b, p):
     """One-dimensional <tau>^b weighted norm of a windowed time profile."""
-    _check_t_window(t_window)
+    require_real("t_window", t_window, positive=True)
     pprime = conjugate_exponent(p)
     profile = np.asarray(profile, dtype=complex)
+    if profile.size == 0:
+        raise ValueError(f"profile needs at least one time sample, got shape {profile.shape}")
     taus, dtau = _padded_taus(profile.shape[0], t_window)
     hat = _time_transform(profile, t_window, taus)
     weighted = (1.0 + taus**2) ** (0.5 * b) * np.abs(hat)
@@ -248,6 +245,7 @@ def xsb_norm(sample, grid, s, b, p, sign):
 
 
 def gaussian_window(times, width):
+    require_real("width", width, positive=True)
     times = np.asarray(times, dtype=float)
     return np.exp(-(times**2) / (2.0 * width**2))
 
@@ -264,8 +262,8 @@ def free_wave_sample(grid, field, sign, width, t_window=2.0, n_t=256):
     n = grid.n_points
     if field.shape[:2] != (n, n):
         raise ValueError(f"field shape {field.shape} does not match grid n={n}")
-    if n_t < 1:
-        raise ValueError(f"n_t must be at least 1, got {n_t!r}")
+    require_count("n_t", n_t, 1)
+    require_real("t_window", t_window, positive=True)
     dt = 2.0 * t_window / n_t
     times = -t_window + dt * np.arange(n_t)
     profile = gaussian_window(times, width)
@@ -459,6 +457,7 @@ def random_positive_coeffs(rng, grid, n_t, n_active):
 
 def bilinear_sweep(rng, grid, eps_values, n_samples=25, n_active=96, n_t=16, t_window=2.0):
     """Ratio records for random probes; the max is the regression baseline."""
+    require_count("n_samples", n_samples, 0)
     rows = []
     for eps in eps_values:
         params = NormParams.from_eps(eps)

@@ -19,34 +19,27 @@ from functools import cached_property
 import numpy as np
 import scipy.fft as _fft
 
+from .errors import require_count, require_real
+
 ALPHA1 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 ALPHA2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 BETA = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=np.complex128)
 
 
-def _is_power_of_two(m):
-    return m >= 1 and (m & (m - 1)) == 0
-
-
 @dataclass(frozen=True)
 class GridSpec:
-    """Square periodic grid: n_points per side, period length, time step; length and dt positive and finite."""
+    """Square periodic grid: n_points per side, period length, time step; length and dt positive real numbers."""
 
     n_points: int
     length: float
     dt: float
 
     def __post_init__(self):
-        if not isinstance(self.n_points, (int, np.integer)):
-            raise ValueError("n_points must be an integer")
-        if self.n_points < 8 or not _is_power_of_two(self.n_points):
+        require_count("n_points", self.n_points, 1)
+        if self.n_points < 8 or self.n_points & (self.n_points - 1):
             raise ValueError(f"n_points must be a power of two >= 8, got {self.n_points}")
-        for name in ("length", "dt"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_real("length", self.length, positive=True)
+        require_real("dt", self.dt, positive=True)
 
     @property
     def dx(self):
@@ -172,7 +165,7 @@ def random_band_limited(rng, grid, kmax, shape=(), scale=1.0):
 
 
 def dilate(field, grid, lam):
-    """Rescaling x -> lam * x, for any finite lam > 0, realized by shrinking the period.
+    """Rescaling x -> lam * x, for any positive real lam, realized by shrinking the period.
 
     The samples of f(lam x) on the grid of period L/lam coincide with the
     samples of f on the original grid, so the returned field is just a
@@ -181,9 +174,6 @@ def dilate(field, grid, lam):
     wavevectors dilate by lam, exactly.
     """
     field = np.asarray(field)
-    if not np.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam}")
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    require_real("lam", lam, positive=True)
     new_grid = GridSpec(grid.n_points, grid.length / lam, grid.dt / lam)
     return lam * field, new_grid

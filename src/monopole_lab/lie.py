@@ -17,7 +17,7 @@ def dagger(a):
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def _check_square(x, name="x"):
+def _check_square(x, name):
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise ValueError(f"{name} must have square trailing axes, got shape {x.shape}")
@@ -100,7 +100,7 @@ def lie_expm(x):
 
     Exactly unitary up to roundoff, and batched over leading axes.
     """
-    x = _check_square(x)
+    x = _check_square(x, "x")
     h = 1j * x
     w, u = np.linalg.eigh(h)
     phases = np.exp(-1j * w)

@@ -31,7 +31,7 @@ pass.
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, require_count
 from .grid_spectral import projection_matrices
 
 # frequency pairs per chunk of null_sweep
@@ -158,6 +158,7 @@ def null_sweep(rng, n_samples):
     Returns the envelopes ratio_plus_min, ratio_plus_max, ratio_minus_min,
     ratio_minus_max and c_sym, the regression constants the tests freeze.
     """
+    require_count("n_samples", n_samples, 1)
     xi, eta = random_frequency_pairs(rng, n_samples)
     extremes = []
     for start in range(0, len(xi), _CHUNK):
@@ -168,7 +169,7 @@ def null_sweep(rng, n_samples):
         extremes.append(
             (np.min(ratio_plus), np.max(ratio_plus), np.min(ratio_minus), np.max(ratio_minus), c_sym)
         )
-    # one row per chunk; no chunk at all (n_samples = 0) fails like an empty reduction
+    # one row per chunk
     lows, highs = np.min(extremes, axis=0), np.max(extremes, axis=0)
     return {
         "ratio_plus_min": float(lows[0]),

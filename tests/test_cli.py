@@ -1,5 +1,6 @@
 import ast
 import csv
+import math
 import os
 import signal
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import monopole_lab
-from monopole_lab import cli, null_geometry
+from monopole_lab import cli, diagonal_system, null_geometry
 from monopole_lab.cli import (
     COMMANDS,
     SCHEMA,
@@ -83,6 +84,38 @@ def test_defaults_cover_every_command():
         config = build_config(command)
         assert config.command == command
         assert dict(config.items())["n"] == SCHEMA["n"][1]
+
+
+def _bounds_text(parser, bounds):
+    """The values a SCHEMA row's bounds admit, as the README's key table writes them."""
+    if parser is str:
+        return "—"
+    if parser is int:
+        (low, high), positive = (bounds["low"], bounds.get("high", math.inf)), False
+    else:
+        (low, high), positive = bounds.get("bounds", (-math.inf, math.inf)), bounds["positive"]
+    show = str if parser is int else "{:g}".format
+    left = "(0" if positive and low <= 0 else f"[{show(low)}"
+    right = "∞)" if high == math.inf else f"{show(high)}]"
+    return f"{left}, {right}"
+
+
+def test_the_readme_key_table_matches_the_schema():
+    # the table is the documentation of every key, so it may not drift from the code
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| key "))
+    rows = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    assert [row[0].strip("`") for row in rows] == list(SCHEMA)
+    for (key, default, bounds, meaning, _), (parser, value, description, limits) in zip(rows, SCHEMA.values()):
+        assert default == str(value), key
+        assert bounds == _bounds_text(parser, limits), key
+        assert meaning == description, key
 
 
 def test_load_config_parses_comments_and_blank_lines(tmp_path):
@@ -167,12 +200,12 @@ def test_unusable_values_exit_2(tmp_path, capsys):
         ("verify-norms", "1e-300"), ("scaling", "1e-300"), ("probe-bilinear", "1e-300"),
         ("verify-norms", "1e300"), ("scaling", "1e300"),
     ):
-        _assert_usage_error(tmp_path, capsys, [command, f"length={length}"], "length must lie in [1e-6, 1e6]")
+        _assert_usage_error(tmp_path, capsys, [command, f"length={length}"], "length must lie in [1e-06, 1e+06]")
     # random data so large that the engine's entry would overflow
     for command in ("simulate", "residuals"):
         for amplitude in ("1e308", "-1e308", "3e306"):
             args = [command, f"amplitude={amplitude}", "steps=3"]
-            _assert_usage_error(tmp_path, capsys, args, "amplitude must lie in [-1e300, 1e300]")
+            _assert_usage_error(tmp_path, capsys, args, "amplitude must lie in [-1e+300, 1e+300]")
     # time lattices that cannot hold the widest window or resolve the narrowest,
     # and a t_window whose powers overflow
     for args, message in (
@@ -182,9 +215,9 @@ def test_unusable_values_exit_2(tmp_path, capsys):
         (["verify-norms", "t_window=16"], "time lattice too coarse"),
         (["verify-norms", "--seed", "1", "t_window=12"], "time lattice too coarse"),
         (["verify-norms", "n_t=32"], "time lattice too coarse"),
-        (["verify-norms", "t_window=1e-300"], "t_window must lie in [1e-6, 1e6]"),
+        (["verify-norms", "t_window=1e-300"], "t_window must lie in [1e-06, 1e+06]"),
         (["probe-bilinear", "n=16", "probe_samples=1", "n_active=16", "t_window=1e-300"],
-         "t_window must lie in [1e-6, 1e6]"),
+         "t_window must lie in [1e-06, 1e+06]"),
     ):
         _assert_usage_error(tmp_path, capsys, args, message)
 
@@ -361,6 +394,31 @@ def test_data_past_the_divergence_limit_fail_at_step_0_without_a_warning(tmp_pat
     printed = capsys.readouterr().out
     assert f"[{command}] finite_evolution: FAIL (solution blew up at step 0, t=0:" in printed
     assert "(max coefficient 1.07e+301)" in printed
+
+
+@pytest.mark.parametrize("command", ["simulate", "residuals"])
+def test_a_step_above_its_bound_exits_2_before_any_arithmetic(tmp_path, capsys, command):
+    # dt=1e50 printed overflow warnings from inside the first step before
+    # finite_evolution failed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        args = [command, "n=16", "steps=3", "dt=1e50"]
+        _assert_usage_error(tmp_path, capsys, args, "dt must be at most 1e+06, got 1e+50")
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_a_step_at_its_bound_ends_without_a_warning(tmp_path, capsys, n):
+    # the largest data that pass step 0, just under the divergence limit,
+    # blow up at step 1 without any arithmetic overflowing on the way
+    grid = GridSpec(n, 2 * np.pi, 1e-3)
+    state = random_diagonal_state(np.random.default_rng(0), grid, amplitude=1.0, kmax=5.0)
+    peak = float(np.max(np.abs(HalfWaveSolver(grid)._to_coeffs(state))))
+    amplitude = 0.999 * diagonal_system._DIVERGENCE_LIMIT / peak
+    args = ["simulate", f"n={n}", "steps=3", "dt=1e6", f"amplitude={amplitude!r}", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 1
+    assert "finite_evolution: FAIL (solution blew up at step 1, t=1e+06" in capsys.readouterr().out
 
 
 def test_simulate_and_residuals_report_the_same_final_pairs(tmp_path, capsys):

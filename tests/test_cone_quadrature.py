@@ -47,6 +47,10 @@ def test_probe_validation():
         ConeProbe(tau=2.0, xi=(1.0, 0.0), p=2.5)
     with pytest.raises(ValueError):
         ConeProbe(tau=2.0, xi=(1.0, 0.0, 0.0), p=1.5)
+    # a complex or bool exponent is no exponent; a complex one raised TypeError
+    for p, shown in ((1.5 + 0j, r"\(1.5\+0j\)"), (True, "True"), (np.True_, "np.True_")):
+        with pytest.raises(ValueError, match=f"p must be a real number, got {shown}"):
+            ConeProbe(tau=2.0, xi=(1.0, 0.0), p=p)
 
 
 def test_surfaces_reject_degenerate_probes():
@@ -62,24 +66,44 @@ def test_surfaces_reject_degenerate_probes():
 
 
 @pytest.mark.parametrize(
-    "tau, xi",
-    [(np.nan, (1.0, 0.0)), (np.inf, (1.0, 0.0)), (0.5, (np.nan, 0.0)), (0.5, (1.0, -np.inf))],
-    ids=["nan-tau", "infinite-tau", "nan-xi", "infinite-xi"],
+    "tau, xi, message",
+    [
+        (np.nan, (1.0, 0.0), "tau must be finite"),
+        (np.inf, (1.0, 0.0), "tau must be finite"),
+        (0.5, (np.nan, 0.0), "xi must be finite"),
+        (0.5, (1.0, -np.inf), "xi must be finite"),
+        # a bool was taken as tau = 1, and a complex raised TypeError from float()
+        (True, (0.5, 0.0), "tau must be a real number, got True"),
+        (np.True_, (0.5, 0.0), "tau must be a real number, got np.True_"),
+        (1j, (1.0, 0.0), r"tau must be a real number, got 1j"),
+    ],
+    ids=["nan-tau", "infinite-tau", "nan-xi", "infinite-xi", "bool-tau", "numpy-bool-tau", "complex-tau"],
 )
-def test_probes_and_surfaces_refuse_non_finite_tau_and_xi(tau, xi):
+def test_probes_and_surfaces_refuse_non_finite_tau_and_xi(tau, xi, message):
     # no quadrature settles on such a point (it would double up to its cap
     # and return nan), so each refusal names the argument at the call
-    name = "tau" if not np.isfinite(tau) else "xi"
     one = lambda pts: np.ones(pts.shape[:-1])
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+    with pytest.raises(ValueError, match=message):
         ConeProbe(tau=tau, xi=xi, p=1.5)
     for surface in (delta_integral_plus, delta_integral_minus):
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError, match=message):
             surface(one, tau, xi)
 
 
-@pytest.mark.parametrize("rtol", [np.nan, -1.0, 0.0, np.inf, True, 1e-6 + 0j])
-def test_integrals_and_kernels_refuse_an_unusable_rtol(rtol):
+@pytest.mark.parametrize(
+    "rtol, message",
+    [
+        (np.nan, "rtol must be finite, got nan"),
+        (-1.0, "rtol must be positive, got -1.0"),
+        (0.0, "rtol must be positive, got 0.0"),
+        (np.inf, "rtol must be finite, got inf"),
+        (True, "rtol must be a real number, got True"),
+        (1e-6 + 0j, r"rtol must be a real number, got \(1e-06\+0j\)"),
+        (np.True_, "rtol must be a real number, got np.True_"),
+    ],
+    ids=["nan", "-1.0", "0.0", "inf", "True", "(1e-06+0j)", "np.True_"],
+)
+def test_integrals_and_kernels_refuse_an_unusable_rtol(rtol, message):
     # a nan or nonpositive tolerance can never be met: the doubling would
     # run to its point cap and report est_error 0
     one = lambda pts: np.ones(pts.shape[:-1])
@@ -91,7 +115,7 @@ def test_integrals_and_kernels_refuse_an_unusable_rtol(rtol):
         lambda: minus_kernel(ConeProbe(tau=0.5, xi=(1.0, 0.0), p=1.5), rtol=rtol),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match="rtol must be a finite positive number"):
+        with pytest.raises(ValueError, match=message):
             call()
     assert delta_integral_plus(one, 2.0, (1.0, 0.0)).quadrature_points <= 4096
 

@@ -516,6 +516,13 @@ def test_a_step_holds_three_stage_buffers(rng, grid32):
         # an end time that is not after the start, whatever the iteration count
         (lambda solver, s: solver.picard_iterates(s, 0.0, 4, 1), "t_final must be positive, got 0.0"),
         (lambda solver, s: solver.picard_iterates(s, -1e-3, 4, 0), "t_final must be positive, got -0.001"),
+        # the same rule as every other count and real number of the package
+        (lambda solver, s: solver.evolve(s, np.True_), "n_steps must be a whole number, got np.True_"),
+        (lambda solver, s: solver.evolve(s, 2 + 0j), r"n_steps must be a whole number, got \(2\+0j\)"),
+        (lambda solver, s: solver.evolve(s, np.nan), "n_steps must be a whole number, got nan"),
+        (lambda solver, s: solver.evolve(s, np.inf), "n_steps must be a whole number, got inf"),
+        (lambda solver, s: solver.picard_iterates(s, 1e-3, 2, 2.5), "n_iterations must be a whole number, got 2.5"),
+        (lambda solver, s: solver.picard_iterates(s, np.True_, 2, 1), "t_final must be a real number, got np.True_"),
     ],
     ids=[
         "evolve-negative-steps", "residuals-negative-steps", "sample-every-zero", "sample-every-negative",
@@ -525,7 +532,8 @@ def test_a_step_holds_three_stage_buffers(rng, grid32):
         "picard-nan-end", "picard-infinite-end",
         "evolve-complex-step", "evolve-bool-step", "samples-numpy-bool-step", "picard-complex-end",
         "picard-bool-end", "evolve-bool-steps", "samples-bool-every", "picard-zero-end",
-        "picard-negative-end",
+        "picard-negative-end", "evolve-numpy-bool-steps", "evolve-complex-steps", "evolve-nan-steps",
+        "evolve-infinite-steps", "picard-fractional-iterations", "picard-numpy-bool-end",
     ],
 )
 def test_evolve_refuses_unusable_counts(rng, grid, call, message):

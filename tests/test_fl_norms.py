@@ -48,6 +48,15 @@ def test_exponent_validation():
         NormParams(p=3.0, s=0.5, b=0.5)
     with pytest.raises(ValueError):
         NormParams.from_eps(0.3)
+    # a complex exponent raised TypeError; a bool is no exponent either
+    for p, shown in ((2j, "2j"), (1.5 + 0j, r"\(1.5\+0j\)"), (True, "True"), (np.True_, "np.True_")):
+        with pytest.raises(ValueError, match=f"p must be a real number, got {shown}"):
+            conjugate_exponent(p)
+        with pytest.raises(ValueError, match=f"p must be a real number, got {shown}"):
+            NormParams(p, 0.5, 0.5)
+    for p in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"p must be finite, got {p}"):
+            NormParams(p, 0.5, 0.5)
     params = NormParams.from_eps(0.25)
     assert_allclose((params.p, params.s, params.b), (2.0, 0.5, 0.75))
     assert_allclose(1.0 / params.p + 1.0 / conjugate_exponent(params.p), 1.0)
@@ -113,6 +122,11 @@ def test_sample_validation():
     for n_t in (0, -3):
         with pytest.raises(ValueError, match=f"n_t must be at least 1, got {n_t}"):
             free_wave_sample(GRID, np.ones((16, 16)), 1, 0.2, n_t=n_t)
+    # 2.5 made 3 time samples and True made 1
+    for n_t, shown in ((2.5, "2.5"), (True, "True"), (np.True_, "np.True_"), (8 + 0j, r"\(8\+0j\)"),
+                       (np.nan, "nan"), (np.inf, "inf")):
+        with pytest.raises(ValueError, match=f"n_t must be a whole number, got {shown}"):
+            free_wave_sample(GRID, np.ones((16, 16)), 1, 0.2, n_t=n_t)
 
 
 def test_lattice_norms_refuse_a_sample_from_another_grid():
@@ -124,13 +138,44 @@ def test_lattice_norms_refuse_a_sample_from_another_grid():
         embedding_check(sample, grid, NormParams.from_eps(0.125), 1.0)
 
 
-@pytest.mark.parametrize("t_window", [-2.0, 0.0, np.nan, np.inf, True, 2.0 + 0j])
+@pytest.mark.parametrize(
+    "t_window",
+    [-2.0, 0.0, np.nan, np.inf, True, 2.0 + 0j, np.True_],
+    ids=["-2.0", "0.0", "nan", "inf", "True", "(2+0j)", "np.True_"],
+)
 def test_sample_and_time_norm_refuse_an_unusable_window(t_window):
     # a negative or nan window gave a nan norm and a RuntimeWarning
     with pytest.raises(ValueError, match="t_window must be"):
         SpaceTimeSample(np.zeros((8, 16, 16)), t_window=t_window)
     with pytest.raises(ValueError, match="t_window must be"):
         hbp_norm_1d(np.ones(8), t_window, 0.5, 1.5)
+    with pytest.raises(ValueError, match="t_window must be"):
+        free_wave_sample(GRID, np.ones((16, 16)), 1, 0.2, t_window=t_window, n_t=8)
+
+
+@pytest.mark.parametrize(
+    "width, message",
+    [
+        (0.0, "width must be positive, got 0.0"),
+        (-0.2, "width must be positive, got -0.2"),
+        (np.nan, "width must be finite, got nan"),
+        (np.inf, "width must be finite, got inf"),
+        (True, "width must be a real number, got True"),
+        (np.True_, "width must be a real number, got np.True_"),
+        (0.2 + 0j, r"width must be a real number, got \(0.2\+0j\)"),
+    ],
+    ids=["zero", "negative", "nan", "infinite", "bool", "numpy-bool", "complex"],
+)
+def test_free_wave_sample_refuses_an_unusable_width(width, message):
+    # a zero width divided by zero, and a negative, nan or infinite one gave a window
+    with pytest.raises(ValueError, match=message):
+        free_wave_sample(GRID, np.ones((16, 16)), 1, width, t_window=2.0, n_t=8)
+
+
+def test_time_norm_refuses_an_empty_profile():
+    # it divided by zero in the tau lattice
+    with pytest.raises(ValueError, match=r"profile needs at least one time sample, got shape \(0,\)"):
+        hbp_norm_1d(np.ones(0), 2.0, 0.5, 1.5)
 
 
 def test_hbp_norm_matches_continuum_gaussian():
@@ -436,6 +481,10 @@ def test_bilinear_probe_validation():
         key_bilinear_probe(good[:, :, :12], good, GRID, params, 1)
     with pytest.raises(ValueError):
         key_bilinear_probe(good, good, GRID, params, 2)
+    # 1.5 raised TypeError and True ran one sample
+    for n_samples, shown in ((1.5, "1.5"), (True, "True"), (np.True_, "np.True_"), (2 + 0j, r"\(2\+0j\)")):
+        with pytest.raises(ValueError, match=f"n_samples must be a whole number, got {shown}"):
+            bilinear_sweep(np.random.default_rng(0), GRID, (0.125,), n_samples=n_samples)
     over_cap = np.ones((32, 16, 16))
     assert over_cap.size > MAX_ACTIVE_MODES
     with pytest.raises(ValueError):

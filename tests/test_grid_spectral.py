@@ -48,9 +48,18 @@ def test_grid_validation():
         (np.nan, 1e-3, "length must be finite, got nan"),
         (2 * np.pi, np.inf, "dt must be finite, got inf"),
         (2 * np.pi, np.nan, "dt must be finite, got nan"),
+        # a bool was taken as a side of 1, and a complex raised TypeError
+        (True, 1e-3, "length must be a real number, got True"),
+        (np.True_, 1e-3, "length must be a real number, got np.True_"),
+        (2j, 1e-3, "length must be a real number, got 2j"),
+        (2 * np.pi, True, "dt must be a real number, got True"),
+        (2 * np.pi, 1e-3 + 0j, r"dt must be a real number, got \(0.001\+0j\)"),
     ]:
         with pytest.raises(ValueError, match=message):
             GridSpec(16, length, dt)
+    for n_points in (True, np.True_, 16.0, 16 + 0j, np.nan, np.inf):
+        with pytest.raises(ValueError, match="n_points must be a whole number"):
+            GridSpec(n_points, 1.0, 1e-3)
 
 
 def test_wavenumbers_are_integer_multiples(grid):
@@ -210,4 +219,8 @@ def test_dilate_identity_any_positive_lam_and_refusal(rng, grid):
     # a non-finite lam is named, not the side length it would make
     for lam in (np.inf, np.nan):
         with pytest.raises(ValueError, match=f"lam must be finite, got {lam}"):
+            dilate(f, grid, lam)
+    # a bool was taken as lam = 1, and a complex raised TypeError
+    for lam, shown in ((True, "True"), (np.True_, "np.True_"), (2j, "2j")):
+        with pytest.raises(ValueError, match=f"lam must be a real number, got {shown}"):
             dilate(f, grid, lam)

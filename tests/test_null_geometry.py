@@ -203,6 +203,26 @@ def test_sweep_holds_its_pairs_and_one_chunk():
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize(
+    "n_samples, message",
+    [
+        (0, "n_samples must be at least 1, got 0"),
+        (-1, "n_samples must be at least 1, got -1"),
+        (2.5, "n_samples must be a whole number, got 2.5"),
+        (True, "n_samples must be a whole number, got True"),
+        (np.True_, "n_samples must be a whole number, got np.True_"),
+        (10 + 0j, r"n_samples must be a whole number, got \(10\+0j\)"),
+        (np.nan, "n_samples must be a whole number, got nan"),
+        (np.inf, "n_samples must be a whole number, got inf"),
+    ],
+    ids=["zero", "negative", "fractional", "bool", "numpy-bool", "complex", "nan", "infinite"],
+)
+def test_sweep_refuses_an_unusable_sample_count(n_samples, message):
+    # 0 failed in numpy's empty reduction and 2.5 with a TypeError
+    with pytest.raises(ValueError, match=message):
+        null_sweep(np.random.default_rng(2024), n_samples)
+
+
 @pytest.mark.parametrize("n_samples", [1, 20_000, 100_000])
 def test_sweep_envelopes_do_not_depend_on_the_chunk(monkeypatch, n_samples):
     # minima and maxima are exact, so chunks change no bit; all pairs are
