@@ -26,28 +26,25 @@ pairs in the coefficients of the orthonormal su_basis(n): physical
 fields are real d-vectors c, d = n^2 - 1, the bracket is
 [x, y]_c = f_abc x_a y_b with the structure constants f of that basis,
 and the transforms are half-spectrum.  Entry and exit stay in that
-basis.  Let R be the operator with the real symbol -i alpha . xi / |xi|
-(zero at xi = 0), acting on the pair index, which _plus_part applies
-from _alpha_hat with _propagate; R c is a real field and the half waves are
-    P_pm c = (c pm i R c) / 2.
+basis and build no half waves: a DiagonalState holds the pairs, and derives
+their half waves P_pm u on each read with grid_spectral.apply_projection,
+the package's only split.
 The entry first tests that a state has the solver's points per side and
-side length, then accepts only pairs that equal the basis sum of their
-coefficients (anti-Hermitian and traceless), have empty Nyquist lines, and
-whose plus components are the basis sum of (c + i R c) / 2; every stepping
-operation enters there and raises ValueError, naming the failed test, for
-any other state.  The entry zeroes the Nyquist rounding it has tested, so
-round trips do not add it up.  The exit builds the plus halves as the
-basis sums of (c + i R c) / 2 and the minus halves as the rest;
-diagonal_split, the oracle, splits the same way with
-grid_spectral.apply_projection, and nowhere else are half waves split.  A
-state that the exit builds is read-only and carries its spectra, which the
-entry takes back after the grid test, so chained evolutions add no
+side length, then accepts only pairs with finite entries that equal the
+basis sum of their coefficients (anti-Hermitian and traceless) and have
+empty Nyquist lines; every stepping operation enters there and raises
+ValueError, naming the failed test, for any other state.  The entry
+zeroes the Nyquist rounding it has tested, so round trips do not add it
+up.  The exit builds the pairs as the basis sums of their coefficients.
+A state that the exit builds is read-only and carries its spectra, which
+the entry takes back after the grid test, so chained evolutions add no
 rounding.
 The exact linear propagator is the per-mode 2 x 2 matrix
     exp(pm i h alpha . xi) = cos(h|xi|) pm i sin(h|xi|) alpha . xihat
-acting on the pair index, which _square_phase builds from the same
-_alpha_hat, so the propagator e^{ih|xi|} P_+ + e^{-ih|xi|} P_- and the
-split cannot disagree in a sign.  Since E(h) = E(h/2)^2 a step applies
+acting on the pair index, which _square_phase builds from _alpha_hat;
+tests hold that table to 2 P_+ - I of grid_spectral's projections, so the
+propagator e^{ih|xi|} P_+ + e^{-ih|xi|} P_- and the split cannot disagree
+in a sign.  Since E(h) = E(h/2)^2 a step applies
 only the half-step one, four times.  Projection commutes with every
 stage, so the step agrees to rounding with a projected IF-RK4 on the
 matrix pairs; tests enforce this.
@@ -100,7 +97,7 @@ import scipy.fft as _fft
 
 from .errors import DivergedError, require_count, require_real
 from .gauge_fields import MonopoleConfig, random_config
-from .grid_spectral import GridSpec, apply_projection, fft_forward, fft_inverse
+from .grid_spectral import apply_projection, fft_forward, fft_inverse
 from .lie import bracket, coefficients, from_coefficients, structure_constants, su_basis
 
 # a step whose largest coefficient exceeds this raises DivergedError
@@ -132,44 +129,70 @@ def engine_threads(grid):
     return 2 if grid.n_points >= _THREADED_MIN_POINTS else 1
 
 
-@dataclass(frozen=True)
 class DiagonalState:
-    """Projected characteristic components, physical-space samples.
+    """The su(n)-valued pairs u and v, physical-space samples of shape (2, N, N, n, n).
 
-    Each component is a pair of matrix fields with shape (2, N, N, n, n);
-    u_plus + u_minus and v_plus + v_minus recover the su(n)-valued pairs.
-    A state that HalfWaveSolver returns is read-only and carries the
-    coefficient spectra it was built from, which the solver's entry takes
-    back after the grid test alone; a state built from any arrays carries none.
+    Its half waves u_plus, u_minus, v_plus and v_minus are derived on each
+    read: P+ of a pair by grid_spectral.apply_projection, and P- as the
+    rest.  The constructor keeps only the sums u_plus + u_minus and
+    v_plus + v_minus of the halves it is given.  A state that
+    HalfWaveSolver returns carries the coefficient spectra it was built
+    from, which the solver's entry takes back after the grid test alone.
+    Arrays and attributes are read-only.
     """
 
-    grid: GridSpec
-    u_plus: np.ndarray
-    u_minus: np.ndarray
-    v_plus: np.ndarray
-    v_minus: np.ndarray
-    # not a field: HalfWaveSolver._to_state sets it on the states it builds
-    _spectra = None
+    def __init__(self, grid, u_plus, u_minus, v_plus, v_minus):
+        up, um, vp, vm = _pair_fields(grid, u_plus=u_plus, u_minus=u_minus, v_plus=v_plus, v_minus=v_minus)
+        self.__dict__.update(vars(self._of_pairs(grid, up + um, vp + vm)))
 
-    def __post_init__(self):
-        n = self.grid.n_points
-        for name in ("u_plus", "u_minus", "v_plus", "v_minus"):
-            f = np.asarray(getattr(self, name), dtype=np.complex128)
-            if f.ndim != 5 or f.shape[:3] != (2, n, n) or f.shape[-1] != f.shape[-2]:
-                raise ValueError(f"{name} must have shape (2, N, N, n, n), got {f.shape}")
-            object.__setattr__(self, name, f)
-        shapes = {c.shape for c in self.components()}
-        if len(shapes) != 1:
-            raise ValueError(f"component shapes disagree: {shapes}")
+    @classmethod
+    def _of_pairs(cls, grid, u, v, spectra=None):
+        """The state of the pairs u and v, kept as they are: the engine's and diagonal_split's path."""
+        state = cls.__new__(cls)
+        for array in (u, v, spectra):
+            if array is not None:
+                array.setflags(write=False)
+        state.__dict__.update(grid=grid, _u=u, _v=v, _spectra=spectra)
+        return state
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a DiagonalState is read-only: cannot set {name}")
+
+    def _split(self, pair):
+        plus = fft_inverse(apply_projection(+1, fft_forward(pair, self.grid), self.grid), self.grid)
+        minus = pair - plus
+        plus.setflags(write=False)
+        minus.setflags(write=False)
+        return plus, minus
+
+    u_plus = property(lambda self: self._split(self._u)[0])
+    u_minus = property(lambda self: self._split(self._u)[1])
+    v_plus = property(lambda self: self._split(self._v)[0])
+    v_minus = property(lambda self: self._split(self._v)[1])
 
     def components(self):
-        return (self.u_plus, self.u_minus, self.v_plus, self.v_minus)
+        return (*self._split(self._u), *self._split(self._v))
 
     def u(self):
-        return self.u_plus + self.u_minus
+        return self._u
 
     def v(self):
-        return self.v_plus + self.v_minus
+        return self._v
+
+
+def _pair_fields(grid, **fields):
+    """The fields as complex arrays, each of shape (2, N, N, n, n) on grid and all of one shape."""
+    n = grid.n_points
+    arrays = []
+    for name, f in fields.items():
+        f = np.asarray(f, dtype=np.complex128)
+        if f.ndim != 5 or f.shape[:3] != (2, n, n) or f.shape[-1] != f.shape[-2]:
+            raise ValueError(f"{name} must have shape (2, N, N, n, n), got {f.shape}")
+        arrays.append(f)
+    shapes = {f.shape for f in arrays}
+    if len(shapes) != 1:
+        raise ValueError(f"component shapes disagree: {shapes}")
+    return arrays
 
 
 @dataclass
@@ -246,18 +269,14 @@ def pair_rhs(grid, u, v):
 
 
 def diagonal_split(grid, u, v):
-    """The state of half waves: P+ of each pair, and the rest as its P- (P+ + P- = I)."""
-    comps = []
-    for pair in (u, v):
-        plus = fft_inverse(apply_projection(+1, fft_forward(pair, grid), grid), grid)
-        comps += [plus, pair - plus]
-    return DiagonalState(grid, *comps)
+    """The state of copies of the pairs u and v; its half waves are P+ of each pair and the rest (P+ + P- = I)."""
+    return DiagonalState._of_pairs(grid, *(f.copy() for f in _pair_fields(grid, u=u, v=v)))
 
 
 def random_diagonal_state(rng, grid, n=2, amplitude=0.25, kmax=None):
-    """Random band-limited initial data, already projected."""
+    """Random band-limited initial data: the state of the pairs of random_config."""
     cfg = random_config(rng, grid, n=n, amplitude=amplitude, kmax=kmax)
-    return diagonal_split(grid, *to_uv(cfg))
+    return DiagonalState._of_pairs(grid, *to_uv(cfg))
 
 
 def _bracket(table, x, y, out):
@@ -325,14 +344,13 @@ class HalfWaveSolver:
         """Coefficient spectra of (u, v), shape (2, 2, d, N, N//2+1).
 
         The state must have the solver's points per side and side length, and
-        hold su(n) pairs that are the sums of their su_basis coefficients (no
-        Hermitian or trace part), with empty Nyquist lines, whose sign
-        convention is not shared by the half-spectrum transforms, and with
-        plus components that are the projections (c + i R c) / 2 of their
-        pairs, each tested at 1e-12 of the state's largest entry, one pair at
-        a time; a ValueError names the test that failed.  Nyquist rounding
-        that passes is zeroed.  Past the grid test, a state that _to_state
-        made enters as its spectra.
+        hold finite su(n) pairs that are the sums of their su_basis
+        coefficients (no Hermitian or trace part), with empty Nyquist lines,
+        whose sign convention is not shared by the half-spectrum transforms,
+        each tested at 1e-12 of the pairs' largest entry, one pair at a time;
+        a ValueError names the test that failed.  Nyquist rounding that
+        passes is zeroed.  Past the grid test, a state that _to_state made
+        enters as its spectra.
         """
         m, n = state.grid.n_points, self.grid.n_points
         if m != n:
@@ -343,41 +361,24 @@ class HalfWaveSolver:
             )
         if state._spectra is not None:
             return state._spectra.copy()
-        peak = state_max_abs(state)
+        pairs = state.u(), state.v()
+        peak = float(np.max([np.max(np.abs(pair)) for pair in pairs]))
         if not np.isfinite(peak):
             raise ValueError(f"finite test failed: the state's largest entry is {peak}")
-        basis = self._lie(state.u_plus.shape[-1] ** 2 - 1)[0]
+        basis = self._lie(pairs[0].shape[-1] ** 2 - 1)[0]
         tol = 1e-12 * max(peak, 1e-30)
         nyq = n // 2
         y = np.empty((2, 2, len(basis), *self._mag_r.shape), dtype=np.complex128)
-        for w, (name, plus, minus) in enumerate(
-            (("u", state.u_plus, state.u_minus), ("v", state.v_plus, state.v_minus))
-        ):
-            pair = plus + minus
+        for w, (name, pair) in enumerate(zip("uv", pairs)):
             c = coefficients(pair, basis)
             defect = float(np.max(np.abs(pair - from_coefficients(c, basis))))
             _require("anti-Hermitian and traceless", f"the {name} pair", defect, tol)
-            c = np.moveaxis(c, -1, 1)
-            y[w] = _fft.rfft2(c, axes=(-2, -1), norm="ortho")
+            y[w] = _fft.rfft2(np.moveaxis(c, -1, 1), axes=(-2, -1), norm="ortho")
             nyquist = np.concatenate([y[w, ..., nyq, :], y[w, ..., nyq]], axis=-1)
             _require("Nyquist", f"the Nyquist lines of the {name} pair", float(np.max(np.abs(nyquist))), tol)
             y[w, ..., nyq, :] = 0.0
             y[w, ..., nyq] = 0.0
-            gap = float(np.max(np.abs(self._plus_part(c, y[w]) - plus)))
-            _require("plus projection", f"{name}_plus against the plus projection of its pair", gap, tol)
         return y
-
-    def _plus_part(self, c, pair_hat):
-        """The basis sum of (c + i R c) / 2 with grid axes in front: the plus projection.
-
-        c holds the physical coefficients (2, d, N, N) of one pair and
-        pair_hat their half spectrum.  R has the real symbol
-        -i alpha . xi / |xi|, so R c is a real field too; it is applied
-        from _alpha_hat, the table that _square_phase builds E from.
-        """
-        r_hat = self._propagate(self._alpha_hat, pair_hat)
-        r_hat *= -1j
-        return self._matrices(0.5 * (c + 1j * self._fields(r_hat)))
 
     def _fields(self, spec, overwrite=False):
         """Physical fields of half spectra on the last two axes: the engine's one inverse transform.
@@ -395,20 +396,8 @@ class HalfWaveSolver:
         return from_coefficients(np.moveaxis(c, 1, -1), self._lie(c.shape[1])[0])
 
     def _to_state(self, y):
-        """Split each pair into its half waves, P+- c = (c +- i R c) / 2: a read-only state carrying a copy of y."""
-        comps = []
-        for pair_hat in y:
-            c = self._fields(pair_hat)
-            plus = self._plus_part(c, pair_hat)
-            minus = self._matrices(c)
-            minus -= plus
-            comps += [plus, minus]
-        spectra = y.copy()
-        for array in (*comps, spectra):
-            array.setflags(write=False)
-        state = DiagonalState(self.grid, *comps)
-        object.__setattr__(state, "_spectra", spectra)
-        return state
+        """A read-only state of the pairs of y, carrying a copy of y."""
+        return DiagonalState._of_pairs(self.grid, *self.pairs(y), y.copy())
 
     # stepping ------------------------------------------------------------------
 

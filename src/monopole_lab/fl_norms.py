@@ -93,6 +93,7 @@ class NormParams:
     @classmethod
     def from_eps(cls, eps):
         # estimate regime: 1/p = 1 - 2 eps, s = 1/p, b = 1/p + eps
+        require_real("eps", eps, positive=False)
         if not 0.0 < eps <= 0.25:
             raise ValueError(f"eps must lie in (0, 1/4], got {eps}")
         p = 1.0 / (1.0 - 2.0 * eps)
@@ -294,7 +295,9 @@ def scaling_check(field, grid, lam, s, p):
 
 
 def embedding_constant(b, p):
-    """Closed form of (integral <sigma>^{-pb} dsigma)^{1/p} for pb > 1."""
+    """Closed form of (integral <sigma>^{-pb} dsigma)^{1/p} for p > 0 and pb > 1."""
+    require_real("b", b, positive=False)
+    require_real("p", p, positive=True)
     q = p * b
     if q <= 1.0:
         raise ValueError(f"need p*b > 1, got {q}")
@@ -399,6 +402,7 @@ def key_bilinear_probe(phi_tilde, psi_tilde, grid, params, sign, t_window=2.0):
     with exponents (s, 0); rhs is the product of the input norms with
     exponents (s, b) and modulation signs (+, sign).
     """
+    require_real("t_window", t_window, positive=True)
     out = _convolve(phi_tilde, psi_tilde, grid, sign, t_window)
     taus = tau_lattice(out.shape[0], t_window)
     cell = (np.pi / t_window) * (2.0 * np.pi / grid.length) ** 2
@@ -422,6 +426,8 @@ def check_active_modes(grid, n_t, n_active):
     the band's distinct slots would never be placed; key_bilinear_probe
     refuses more than MAX_ACTIVE_MODES.
     """
+    require_count("n_t", n_t, 1)
+    require_count("n_active", n_active, 0)
     n = grid.n_points
     slots = min(2 * max(n_t // 4, 1) + 1, n_t) * min(2 * (n // 4) + 1, n) ** 2
     if n_active > slots:
@@ -458,6 +464,7 @@ def random_positive_coeffs(rng, grid, n_t, n_active):
 def bilinear_sweep(rng, grid, eps_values, n_samples=25, n_active=96, n_t=16, t_window=2.0):
     """Ratio records for random probes; the max is the regression baseline."""
     require_count("n_samples", n_samples, 0)
+    require_real("t_window", t_window, positive=True)
     rows = []
     for eps in eps_values:
         params = NormParams.from_eps(eps)

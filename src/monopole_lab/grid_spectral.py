@@ -10,7 +10,7 @@ ALPHA1, ALPHA2 below; BETA intertwines the two wave projections.  The
 projections P(+-, xi) = (1/2)(I +- alpha . xi/|xi|) diagonalize alpha . xi
 into |xi| P(+) - |xi| P(-).  At xi = 0 both projections are defined as I/2.
 projection_matrices is their one table; apply_projection applies it on the
-grid, for diagonal_split, which splits half waves outside the engine.
+grid, for DiagonalState, whose half waves are the package's only split.
 """
 
 from dataclasses import dataclass

@@ -3,7 +3,7 @@
 It evolves the complex matrix pairs (u, v) over the full spectrum.  The
 brackets come from pair_nonlinearity, the exact linear flow of u is
 e^{it|xi|} P_+ + e^{-it|xi|} P_- built from apply_projection (v flows
-with -t), and the result is split into half waves by diagonal_split.
+with -t), and the result is a state of pairs made by diagonal_split.
 """
 
 import numpy as np

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import tracemalloc
 
@@ -34,7 +33,7 @@ from monopole_lab.grid_spectral import (
     projection_matrices,
     random_band_limited,
 )
-from monopole_lab.lie import coefficients, dagger, su_basis
+from monopole_lab.lie import coefficients, dagger, from_coefficients, su_basis
 
 from reference_stepper import reference_evolve
 
@@ -63,6 +62,11 @@ def test_diagonal_split_reconstructs_pairs(rng, grid):
     state = diagonal_split(grid, u, v)
     assert_allclose(state.u(), u, atol=1e-12)
     assert_allclose(state.v(), v, atol=1e-12)
+    # a state built from any halves keeps their sums and splits those again
+    swapped = DiagonalState(grid, state.u_minus, state.u_plus, state.v_plus, state.v_minus)
+    assert_allclose(swapped.u(), u, atol=1e-12)
+    for a, b in zip(swapped.components(), state.components()):
+        assert_allclose(a, b, atol=1e-12)
 
 
 def test_state_validation(grid):
@@ -370,8 +374,6 @@ def test_fast_engine_rejects_inconsistent_states(rng):
     # each state with the test that refuses it; the Nyquist, Hermitian and
     # trace states pass every other test of the gate
     refused = [
-        (DiagonalState(grid, state.u_minus, state.u_plus, state.v_plus, state.v_minus),
-         "plus projection"),
         (added(nyquist, nyquist), "Nyquist"),
         (added(0.0, hermitian), "anti-Hermitian and traceless"),
         (added(0.0, trace), "anti-Hermitian and traceless"),
@@ -450,19 +452,13 @@ def test_chained_evolves_equal_one_long_evolve(n_points, rank):
 def test_engine_made_states_cannot_drift_from_their_spectra(rng, grid):
     solver = HalfWaveSolver(grid)
     made = solver.evolve(random_diagonal_state(rng, grid, amplitude=0.4), 2)
-    for comp in made.components():
+    # the pairs the spectra stand for, and the half waves derived from them
+    for array in (made.u(), made.v(), *made.components()):
         with pytest.raises(ValueError, match="read-only"):
-            comp[0, 0, 0] = 0.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        made.u_plus = made.u_minus
-    # states built from its components carry no spectra and take every test
-    swapped = (
-        DiagonalState(grid, made.u_minus, made.u_plus, made.v_plus, made.v_minus),
-        dataclasses.replace(made, u_plus=made.u_minus, u_minus=made.u_plus),
-    )
-    for bad in swapped:
-        with pytest.raises(ValueError, match="plus projection test failed"):
-            solver.evolve(bad, 1)
+            array[0, 0, 0] = 0.0
+    for name in ("u_plus", "_u", "_spectra", "grid"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(made, name, None)
 
 
 def test_a_step_holds_three_stage_buffers(rng, grid32):
@@ -481,6 +477,36 @@ def test_a_step_holds_three_stage_buffers(rng, grid32):
     finally:
         tracemalloc.stop()
     assert peak < 7.25 * y.nbytes
+
+
+def test_states_hold_their_two_pairs_and_no_half_waves(rng, grid32):
+    # in units of one pair (N=32, su(2)): evolve(made, 0) keeps the two
+    # pairs and the spectra's copy (2.80) and peaks at 4.69 with the entry's
+    # copy of the spectra and the exit's coefficient fields;
+    # random_diagonal_state keeps its two pairs (2.00) and peaks at 5.78.
+    # States that store four half waves read 4.81 and 6.32, 4.01 and 10.16
+    solver = HalfWaveSolver(grid32)
+    made = solver.evolve(random_diagonal_state(rng, grid32, amplitude=0.3), 1)
+    pair = made.u().nbytes
+
+    def allocated(call):
+        """Memory that call() keeps and its peak, in pairs, after a first call."""
+        call()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = call()  # noqa: F841, held while the memory is read
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        return held / pair, peak / pair
+
+    held, peak = allocated(lambda: solver.evolve(made, 0))
+    assert held < 2.05 + made._spectra.nbytes / pair
+    assert peak < 5.0
+    held, peak = allocated(lambda: random_diagonal_state(rng, grid32, amplitude=0.3))
+    assert held < 2.05
+    assert peak < 6.5
 
 
 @pytest.mark.parametrize(
@@ -543,11 +569,21 @@ def test_evolve_refuses_unusable_counts(rng, grid, call, message):
 
 
 def test_fast_engine_exit_matches_diagonal_split(rng):
+    # the exit builds no half waves: its state derives them as diagonal_split
+    # does, with grid_spectral.apply_projection, and they must be the split
+    # (c + i R c) / 2 by the engine's own symbol table, R = -i _alpha_hat
     grid = GridSpec(32, 2 * np.pi, 1e-3)
     state = random_diagonal_state(rng, grid, amplitude=0.4)
-    final = HalfWaveSolver(grid).evolve(state, 5)
-    oracle = diagonal_split(grid, final.u(), final.v())
-    assert state_distance(final, oracle) < 1e-14 * state_max_abs(final)
+    solver = HalfWaveSolver(grid)
+    final = solver.evolve(state, 5)
+    assert state_distance(final, diagonal_split(grid, final.u(), final.v())) == 0.0
+    basis = su_basis(2)
+    for pair, plus in ((final.u(), final.u_plus), (final.v(), final.v_plus)):
+        c = np.moveaxis(coefficients(pair, basis), -1, 1)
+        r_hat = -1j * np.einsum("ijxy,jaxy->iaxy", solver._alpha_hat, scipy.fft.rfft2(c))
+        r = scipy.fft.irfft2(r_hat, s=c.shape[-2:])
+        oracle = from_coefficients(np.moveaxis(0.5 * (c + 1j * r), 1, -1), basis)
+        assert np.max(np.abs(plus - oracle)) < 1e-14 * state_max_abs(final)
 
 
 @pytest.mark.parametrize("n", [16, 256])

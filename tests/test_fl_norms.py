@@ -16,6 +16,7 @@ from monopole_lab.fl_norms import (
     NormParams,
     SpaceTimeSample,
     bilinear_sweep,
+    check_active_modes,
     conjugate_exponent,
     embedding_check,
     embedding_constant,
@@ -48,6 +49,14 @@ def test_exponent_validation():
         NormParams(p=3.0, s=0.5, b=0.5)
     with pytest.raises(ValueError):
         NormParams.from_eps(0.3)
+    # a complex eps raised TypeError from the range test
+    for eps, message in (
+        (2j, "eps must be a real number, got 2j"),
+        (True, "eps must be a real number, got True"),
+        (np.nan, "eps must be finite, got nan"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            NormParams.from_eps(eps)
     # a complex exponent raised TypeError; a bool is no exponent either
     for p, shown in ((2j, "2j"), (1.5 + 0j, r"\(1.5\+0j\)"), (True, "True"), (np.True_, "np.True_")):
         with pytest.raises(ValueError, match=f"p must be a real number, got {shown}"):
@@ -404,6 +413,16 @@ def test_embedding_constant_closed_form():
         assert_allclose(embedding_constant(b, p), val ** (1.0 / p), rtol=1e-12)
     with pytest.raises(ValueError):
         embedding_constant(0.5, 2.0)
+    # a complex b or p raised TypeError from the comparison
+    for b, p, message in (
+        (2j, 1.5, "b must be a real number, got 2j"),
+        (np.nan, 1.5, "b must be finite, got nan"),
+        (0.75, 2j, "p must be a real number, got 2j"),
+        (0.75, True, "p must be a real number, got True"),
+        (-0.75, -2.0, "p must be positive, got -2.0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            embedding_constant(b, p)
     with pytest.raises(ValueError):
         embedding_check(
             SpaceTimeSample(np.zeros((8, 16, 16)), 2.0),
@@ -497,6 +516,45 @@ def test_bilinear_probe_validation():
     assert np.isfinite(result["lhs"])
     # with sign -1 only the pair of the two (1, 0) modes, at angle pi, is weighted
     assert np.count_nonzero(fl_norms._convolve(dc, dc, GRID, -1, 2.0)) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n_t, n_active: random_positive_coeffs(np.random.default_rng(0), GRID, n_t, n_active),
+        lambda n_t, n_active: check_active_modes(GRID, n_t, n_active),
+    ],
+    ids=["random_positive_coeffs", "check_active_modes"],
+)
+def test_probe_counts_are_whole_numbers(call):
+    # n_active=2.5 placed 3 modes, True placed 1, and n_t=2.5 raised TypeError
+    for n_t, n_active, message in (
+        (16, 2.5, "n_active must be a whole number, got 2.5"),
+        (16, True, "n_active must be a whole number, got True"),
+        (16, -1, "n_active must be at least 0, got -1"),
+        (2.5, 4, "n_t must be a whole number, got 2.5"),
+        (np.True_, 4, "n_t must be a whole number, got np.True_"),
+        (0, 4, "n_t must be at least 1, got 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call(n_t, n_active)
+
+
+def test_probe_t_window_must_be_positive_and_finite():
+    # t_window=0.0 raised ZeroDivisionError from tau_lattice
+    params = NormParams.from_eps(0.125)
+    good = np.zeros((16, 16, 16))
+    good[1, 2, 3] = 1.0
+    for t_window, message in (
+        (0.0, "t_window must be positive, got 0.0"),
+        (-2.0, "t_window must be positive, got -2.0"),
+        (np.inf, "t_window must be finite, got inf"),
+        (2j, "t_window must be a real number, got 2j"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            key_bilinear_probe(good, good, GRID, params, 1, t_window=t_window)
+        with pytest.raises(ValueError, match=message):
+            bilinear_sweep(np.random.default_rng(0), GRID, (0.125,), n_samples=1, t_window=t_window)
 
 
 def test_random_positive_coeffs_layout():
