@@ -35,7 +35,7 @@ from .cone_quadrature import (
     sweep_max,
 )
 from .diagonal_system import HalfWaveSolver, engine_threads, random_diagonal_state
-from .errors import DivergedError, require_count, require_real
+from .errors import DivergedError, gate, require_count, require_real
 from .fl_norms import (
     NormParams,
     bilinear_sweep,
@@ -247,6 +247,16 @@ def _initial_state(config, grid, rng):
     return random_diagonal_state(rng, grid, amplitude=config.amplitude, kmax=config.kmax)
 
 
+def _checks(*rows):
+    """(name, passed, detail) of (name, values, (low, high), detail) rows: errors.gate passes
+    each, so a NaN in any of its values fails it, and its largest value fills the detail's {}."""
+    checks = []
+    for name, values, bounds, detail in rows:
+        passed, worst = gate(values, *bounds)
+        checks.append((name, passed, detail.format(worst)))
+    return checks
+
+
 def _run_simulate(config, grid, rng):
     solver = HalfWaveSolver(grid)
     state = _initial_state(config, grid, rng)
@@ -256,7 +266,7 @@ def _run_simulate(config, grid, rng):
             del products  # not kept through the steps that follow
             u, v = solver.pairs(spectra)
             rows.append((step, step * grid.dt, float(np.max(np.abs(u))), float(np.max(np.abs(v)))))
-        checks = [("finite_evolution", True, f"max |u|, |v| = {max(rows[-1][2:]):.6e}")]
+        checks = _checks(("finite_evolution", rows[-1][2:], (-math.inf, math.inf), "max |u|, |v| = {:.6e}"))
     except DivergedError as err:
         checks = [("finite_evolution", False, str(err))]
     return checks, {"simulate.csv": (("step", "time", "max_abs_u", "max_abs_v"), rows)}
@@ -271,16 +281,12 @@ def _run_residuals(config, grid, rng):
         )
     except DivergedError as err:
         return [("finite_evolution", False, str(err))], {"residuals.csv": (header, [])}
-    worst = float(np.max(record.lorenz))
-    peak = max(float(np.max(np.abs(pair))) for pair in (state.u(), state.v()))
-    checks = [
-        ("finite_evolution", True, f"max |u|, |v| = {peak:.6e}"),
-        (
-            "lorenz_constraint",
-            worst <= config.lorenz_tol,
-            f"max residual {worst:.3e} vs tolerance {config.lorenz_tol:.1e}",
-        ),
-    ]
+    peaks = [np.max(np.abs(pair)) for pair in (state.u(), state.v())]
+    checks = _checks(
+        ("finite_evolution", peaks, (-math.inf, math.inf), "max |u|, |v| = {:.6e}"),
+        ("lorenz_constraint", record.lorenz, (-math.inf, config.lorenz_tol),
+         "max residual {:.3e} vs tolerance " + f"{config.lorenz_tol:.1e}"),
+    )
     rows = [(t, lor, *row) for t, lor, row in zip(record.times, record.lorenz, record.rows)]
     return checks, {"residuals.csv": (header, rows)}
 
@@ -289,34 +295,21 @@ def _run_verify_null(config, grid, rng):
     env = null_sweep(rng, config.null_samples)
     thetas = 2.0 ** -np.arange(1, 12)
     path_rows = []
-    worst_defect = 0.0
     for index in range(10):
         base = rng.uniform(0.0, 2.0 * np.pi)
         norms = approach_defects(base, thetas)
-        worst_defect = max(worst_defect, float(np.max(norms / thetas)))
-        path_rows.extend(
-            (index, base, theta, norm) for theta, norm in zip(thetas, norms)
-        )
-    checks = [
-        (
-            "symbol_bound",
-            np.isfinite(env["c_sym"]) and env["c_sym"] <= 0.5 + 1e-9,
-            f"C_sym = {env['c_sym']:.9f}",
-        ),
-        (
-            "angle_comparisons",
-            all(np.isfinite(v) for v in env.values())
-            and 1.0 <= env["ratio_minus_min"]
-            and env["ratio_plus_max"] <= 2.25,
-            f"plus in [{env['ratio_plus_min']:.4f}, {env['ratio_plus_max']:.4f}], "
-            f"minus in [{env['ratio_minus_min']:.4f}, {env['ratio_minus_max']:.4f}]",
-        ),
-        (
-            "collinear_vanishing",
-            worst_defect <= 0.5 + 1e-6,
-            f"max symbol_norm/theta = {worst_defect:.6f}",
-        ),
-    ]
+        path_rows.extend((index, base, theta, norm) for theta, norm in zip(thetas, norms))
+    # every envelope is read, and only ratio_minus_min and ratio_plus_max are bounded
+    low = [1.0 if key == "ratio_minus_min" else -math.inf for key in env]
+    high = [2.25 if key == "ratio_plus_max" else math.inf for key in env]
+    checks = _checks(
+        ("symbol_bound", env["c_sym"], (-math.inf, 0.5 + 1e-9), "C_sym = {:.9f}"),
+        ("angle_comparisons", list(env.values()), (low, high),
+         f"plus in [{env['ratio_plus_min']:.4f}, {env['ratio_plus_max']:.4f}], "
+         f"minus in [{env['ratio_minus_min']:.4f}, {env['ratio_minus_max']:.4f}]"),
+        ("collinear_vanishing", [norm / theta for _, _, theta, norm in path_rows], (-math.inf, 0.5 + 1e-6),
+         "max symbol_norm/theta = {:.6f}"),
+    )
     return checks, {
         "null_envelopes.csv": (("quantity", "value"), sorted(env.items())),
         "null_paths.csv": (("path", "base_angle", "theta", "symbol_norm"), path_rows),
@@ -326,19 +319,17 @@ def _run_verify_null(config, grid, rng):
 def _run_verify_cone(config, grid, rng):
     plus_rows = plus_kernel_sweep(rtol=config.rtol)
     minus_rows = minus_kernel_sweep(rtol=config.rtol)
-    checks = [
-        (
-            f"{kind}_kernel_bound",
-            abs(bound / frozen - 1.0) <= BOUND_RTOL,
-            f"{label} = {bound:.9f} vs frozen {frozen:.9f}, rtol {BOUND_RTOL:.0e}",
-        )
-        for kind, label, bound, frozen in (
-            ("plus", "C_I", sweep_max(plus_rows), FROZEN_C_PLUS),
-            ("minus", "C_J", sweep_max(minus_rows), FROZEN_C_MINUS),
-        )
-    ]
-    split = max(row["split_defect"] for row in minus_rows)
-    checks.append(("near_far_split", split <= 1e-6, f"max split defect {split:.3e}"))
+    checks = _checks(
+        *(
+            (f"{kind}_kernel_bound", abs(bound / frozen - 1.0), (-math.inf, BOUND_RTOL),
+             f"{label} = {bound:.9f} vs frozen {frozen:.9f}, rtol {BOUND_RTOL:.0e}")
+            for kind, label, bound, frozen in (
+                ("plus", "C_I", sweep_max(plus_rows), FROZEN_C_PLUS),
+                ("minus", "C_J", sweep_max(minus_rows), FROZEN_C_MINUS),
+            )
+        ),
+        ("near_far_split", [row["split_defect"] for row in minus_rows], (-math.inf, 1e-6), "max split defect {:.3e}"),
+    )
     return checks, {"cone_plus.csv": _dict_table(plus_rows), "cone_minus.csv": _dict_table(minus_rows)}
 
 
@@ -364,8 +355,6 @@ def _check_time_lattice(config):
 def _run_verify_norms(config, grid, rng):
     _check_time_lattice(config)
     rows = []
-    worst_defect = 0.0
-    worst_embed = 0.0
     for index in range(config.norm_tuples):
         params = NormParams.from_eps(float(rng.uniform(0.02, 0.25)))
         width = float(rng.uniform(*_WINDOW_WIDTHS))
@@ -375,38 +364,31 @@ def _run_verify_norms(config, grid, rng):
             field, width, grid, params, sign, t_window=config.t_window, n_t=config.n_t
         )
         defect = abs(lhs - rhs) / rhs
-        worst_defect = max(worst_defect, defect)
         ratio = embedding_check(sample, grid, params, lhs)
         # the next tuple builds its sample without this one beside it
         del sample
         c_emb = embedding_constant(params.b, params.p)
-        worst_embed = max(worst_embed, ratio / c_emb)
-        rows.append(
-            (index, params.p, params.s, params.b, width, sign, lhs, rhs, defect, ratio, c_emb)
-        )
-    checks = [
-        (
-            "factorization_identity",
-            worst_defect <= 1e-6,
-            f"max relative defect {worst_defect:.3e}",
-        ),
-        ("embedding_bound", worst_embed <= 1.0, f"max embed_ratio / c_emb {worst_embed:.6f}"),
-    ]
+        rows.append((index, params.p, params.s, params.b, width, sign, lhs, rhs, defect, ratio, c_emb))
     header = ("tuple", "p", "s", "b", "width", "sign", "lhs", "rhs", "defect", "embed_ratio", "c_emb")
+    column = dict(zip(header, np.transpose(rows)))
+    checks = _checks(
+        ("factorization_identity", column["defect"], (-math.inf, 1e-6), "max relative defect {:.3e}"),
+        ("embedding_bound", column["embed_ratio"] / column["c_emb"], (-math.inf, 1.0),
+         "max embed_ratio / c_emb {:.6f}"),
+    )
     return checks, {"norms.csv": (header, rows)}
 
 
 def _run_scaling(config, grid, rng):
     rows = []
-    worst = 0.0
     for p, s in ((2.0, 1.0), (4.0 / 3.0, 3.0 / 4.0), (8.0 / 7.0, 7.0 / 8.0)):
         field = random_band_limited(rng, grid, config.kmax, shape=())
         for lam in (2.0, 4.0):
             measured = scaling_check(field, grid, lam, s, p)
             expected = s + 1.0 - 2.0 / p
-            worst = max(worst, abs(measured - expected))
             rows.append((p, s, lam, measured, expected, measured - expected))
-    checks = [("scaling_exponent", worst <= 1e-12, f"max exponent defect {worst:.3e}")]
+    defects = [abs(row[-1]) for row in rows]
+    checks = _checks(("scaling_exponent", defects, (-math.inf, 1e-12), "max exponent defect {:.3e}"))
     return checks, {"scaling.csv": (("p", "s", "lam", "measured", "expected", "defect"), rows)}
 
 
@@ -424,14 +406,11 @@ def _run_probe_bilinear(config, grid, rng):
         n_t=config.probe_n_t,
         t_window=config.t_window,
     )
-    ratios = np.array([row["ratio"] for row in rows])
-    checks = [
-        (
-            "probe_ratios",
-            bool(np.all(np.isfinite(ratios)) and np.all(ratios > 0.0)),
-            f"max ratio {ratios.max():.6f} over {ratios.size} probes",
-        )
-    ]
+    # the lower bound is the smallest positive float, so every ratio must be positive
+    checks = _checks(
+        ("probe_ratios", [row["ratio"] for row in rows], (math.ulp(0.0), math.inf),
+         "max ratio {:.6f} over " + f"{len(rows)} probes"),
+    )
     return checks, {"probe.csv": _dict_table(rows)}
 
 

@@ -407,4 +407,4 @@ def minus_kernel_sweep(rtol=1e-6):
 
 
 def sweep_max(rows):
-    return max(row["value"] for row in rows)
+    return float(np.max([row["value"] for row in rows]))

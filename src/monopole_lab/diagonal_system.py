@@ -210,9 +210,8 @@ def state_max_abs(state):
 
 
 def state_distance(a, b):
-    return max(
-        float(np.max(np.abs(x - y))) for x, y in zip(a.components(), b.components())
-    )
+    """The largest entry of the four components' differences; nan if any entry is nan."""
+    return float(np.max([np.max(np.abs(x - y)) for x, y in zip(a.components(), b.components())]))
 
 
 def to_uv(cfg):

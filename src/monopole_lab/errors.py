@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and its only checks of a scalar count or real number.
+"""Exception types shared across the package, its only checks of a scalar count or real number, and its gate rule.
 
-require_count and require_real refuse an unusable value with a ValueError that names it.
+require_count and require_real refuse an unusable value with a ValueError that names it;
+gate passes or fails a numerical check on the values it reads.
 """
 
 import math
@@ -49,3 +50,15 @@ def require_real(name, value, *, positive, bounds=(-math.inf, math.inf)):
         raise ValueError(f"{name} must be at most {high:g}, got {value}")
     if not low <= value <= high:
         raise ValueError(f"{name} must lie in [{low:g}, {high:g}], got {value}")
+
+
+def gate(values, low=-math.inf, high=math.inf):
+    """Whether every value is a finite number in [low, high], and the largest value.
+
+    The bounds broadcast against the values, so each value may have its own.  A NaN
+    or an inf anywhere fails the check whatever the bounds, and np.max, unlike
+    Python's max, keeps a NaN in the largest value.
+    """
+    values = np.asarray(values, dtype=float)
+    passed = np.all(np.isfinite(values) & (low <= values) & (values <= high))
+    return bool(passed), float(np.max(values))

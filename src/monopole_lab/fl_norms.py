@@ -464,6 +464,7 @@ def random_positive_coeffs(rng, grid, n_t, n_active):
 def bilinear_sweep(rng, grid, eps_values, n_samples=25, n_active=96, n_t=16, t_window=2.0):
     """Ratio records for random probes; the max is the regression baseline."""
     require_count("n_samples", n_samples, 0)
+    require_count("n_active", n_active, 1)
     require_real("t_window", t_window, positive=True)
     rows = []
     for eps in eps_values:

@@ -165,7 +165,7 @@ def null_sweep(rng, n_samples):
         x, e = xi[start : start + _CHUNK], eta[start : start + _CHUNK]
         ratio_plus = angle_ratio_plus(x, e)
         ratio_minus = angle_ratio_minus(x, e)
-        c_sym = max(np.max(symbol_bound_ratio(sign, x, e)) for sign in (+1, -1))
+        c_sym = np.max([np.max(symbol_bound_ratio(sign, x, e)) for sign in (+1, -1)])
         extremes.append(
             (np.min(ratio_plus), np.max(ratio_plus), np.min(ratio_minus), np.max(ratio_minus), c_sym)
         )

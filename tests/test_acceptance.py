@@ -81,18 +81,16 @@ def _ac1_defects():
     p_minus = projection_matrices(-1, xi)
     eye = np.eye(2)
     return {
-        "idempotent": max(
-            np.max(np.abs(p_plus @ p_plus - p_plus)),
-            np.max(np.abs(p_minus @ p_minus - p_minus)),
+        "idempotent": np.max(
+            [np.abs(p_plus @ p_plus - p_plus), np.abs(p_minus @ p_minus - p_minus)]
         ),
         "orthogonal": np.max(np.abs(p_plus @ p_minus)),
         "resolution": np.max(np.abs(p_plus + p_minus - eye)),
         "symbol": np.max(
             np.abs(alpha_dot(xi) - mags[:, None, None] * (p_plus - p_minus))
         ),
-        "intertwine": max(
-            np.max(np.abs(BETA @ p_plus - p_minus @ BETA)),
-            np.max(np.abs(BETA @ p_minus - p_plus @ BETA)),
+        "intertwine": np.max(
+            [np.abs(BETA @ p_plus - p_minus @ BETA), np.abs(BETA @ p_minus - p_plus @ BETA)]
         ),
     }
 
@@ -101,7 +99,7 @@ def test_ac1_projection_identities():
     started = time.perf_counter()
     defects = _ac1_defects()
     elapsed = time.perf_counter() - started
-    worst = max(defects.values())
+    worst = np.max(list(defects.values()))
     ok = worst <= 1e-12 and elapsed < 1.0
     assert _report(
         "AC1",
@@ -115,7 +113,7 @@ def test_ac1_catches_a_scaled_symbol_in_the_projections(monkeypatch):
     # the test module's alpha_dot stays exact; the projections are built
     # from a symbol 1e-9 too large, which the symbol identity sees at |xi| ~ 100
     monkeypatch.setattr(grid_spectral, "alpha_dot", lambda xi: alpha_dot(xi) * (1.0 + 1e-9))
-    assert max(_ac1_defects().values()) > 100 * 1e-12
+    assert np.max(list(_ac1_defects().values())) > 100 * 1e-12
 
 
 def _ac2_defects():
@@ -129,7 +127,7 @@ def _ac2_defects():
         new_cfg, new_dts = gauge_transform(o, do, cfg, dts)
         before = monopole_residual(cfg, dts)
         after = monopole_residual(new_cfg, new_dts)
-        return max(sup_norm(a - conjugate(o, b)) for b, a in zip(before, after))
+        return np.max([sup_norm(a - conjugate(o, b)) for b, a in zip(before, after)])
 
     theta = 0.7
     o_const = np.broadcast_to(
@@ -167,11 +165,12 @@ def test_ac3_lorenz_constraint_propagates():
     grid = GridSpec(64, 2.0 * np.pi, 1e-3)
     solver = HalfWaveSolver(grid)
     rng = np.random.default_rng(103)
-    worst = 0.0
+    lorenz = []
     for _ in range(20):
         state = random_diagonal_state(rng, grid, amplitude=0.2, kmax=5.0)
         _, record = solver.evolve_with_residuals(state, 500, sample_every=10)
-        worst = max(worst, float(np.max(record.lorenz)))
+        lorenz.append(record.lorenz)
+    worst = np.max(lorenz)
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-8 and elapsed < 120.0
     assert _report(
@@ -258,15 +257,15 @@ def test_ac4_gap_catches_a_dropped_dealias_mask(monkeypatch):
 def _ac5_worst_defect():
     grid = GridSpec(16, 2.0 * np.pi, 1e-3)
     rng = np.random.default_rng(105)
-    worst = 0.0
+    defects = []
     for index in range(20):
         params = NormParams.from_eps(float(rng.uniform(0.02, 0.25)))
         width = float(rng.uniform(0.1, 0.25))
         sign = 1 if index % 2 == 0 else -1
         field = random_band_limited(rng, grid, kmax=5.0)
         lhs, rhs, _ = homogeneous_factorization_check(field, width, grid, params, sign)
-        worst = max(worst, abs(lhs - rhs) / rhs)
-    return worst
+        defects.append(abs(lhs - rhs) / rhs)
+    return np.max(defects)
 
 
 def test_ac5_window_times_wave_factorizes():
@@ -296,15 +295,15 @@ AC6_BOUND = 1e-12
 def _ac6_worst_defect():
     grid = GridSpec(16, 2.0 * np.pi, 1e-3)
     rng = np.random.default_rng(106)
-    worst = 0.0
+    defects = []
     details = []
     for p, s in ((2.0, 1.0), (4.0 / 3.0, 3.0 / 4.0), (8.0 / 7.0, 7.0 / 8.0)):
         field = random_band_limited(rng, grid, kmax=5.0)
         measured = scaling_check(field, grid, 2.0, s, p)
         expected = s + 1.0 - 2.0 / p
-        worst = max(worst, abs(measured - expected))
+        defects.append(abs(measured - expected))
         details.append(f"(p={p:.3g}, s={s:.3g}): {measured:+.6f} vs {expected:+.6f}")
-    return worst, details
+    return np.max(defects), details
 
 
 def test_ac6_scaling_exponents():
@@ -340,12 +339,12 @@ def _ac7_measure():
     minus_rows = minus_kernel_sweep(rtol=1e-6)
     c_plus = sweep_max(plus_rows)
     c_minus = sweep_max(minus_rows)
-    frozen_gap = max(abs(c_plus / FROZEN_C_PLUS - 1.0), abs(c_minus / FROZEN_C_MINUS - 1.0))
+    frozen_gap = np.max([abs(c_plus / FROZEN_C_PLUS - 1.0), abs(c_minus / FROZEN_C_MINUS - 1.0)])
 
     # refinement stability: squeeze the adaptive tolerance by 10^2
     c_plus_fine = sweep_max(plus_kernel_sweep(rtol=1e-8))
     c_minus_fine = sweep_max(minus_kernel_sweep(rtol=1e-8))
-    drift = max(abs(c_plus_fine / c_plus - 1.0), abs(c_minus_fine / c_minus - 1.0))
+    drift = np.max([abs(c_plus_fine / c_plus - 1.0), abs(c_minus_fine / c_minus - 1.0)])
 
     # the measured/closed-form quotient must be constant along each ray
     # {tau = c |xi|} at fixed integrability exponent
@@ -354,9 +353,9 @@ def _ac7_measure():
         rays.setdefault((row["tau_over_mag"], row["p"]), []).append(
             row["closed_form_ratio"]
         )
-    ray_spread = max(max(vals) / min(vals) - 1.0 for vals in rays.values())
+    ray_spread = np.max([np.max(vals) / np.min(vals) - 1.0 for vals in rays.values()])
 
-    split_defect = max(row["split_defect"] for row in minus_rows)
+    split_defect = np.max([row["split_defect"] for row in minus_rows])
     return c_plus, c_minus, frozen_gap, drift, ray_spread, split_defect
 
 
@@ -393,7 +392,7 @@ def _ac8_probe_max():
         GridSpec(16, 2.0 * np.pi, 1e-3),
         (1.0 / 16.0, 1.0 / 8.0, 1.0 / 4.0),
     )
-    return max(row["ratio"] for row in rows)
+    return np.max([row["ratio"] for row in rows])
 
 
 def test_ac8_null_symbol_bound_and_probe_baseline():
@@ -402,12 +401,9 @@ def test_ac8_null_symbol_bound_and_probe_baseline():
 
     path_rng = np.random.default_rng(1008)
     thetas = 2.0 ** -np.arange(1, 12)
-    path_ok = True
-    tail = 0.0
-    for _ in range(10):
-        norms = approach_defects(path_rng.uniform(0.0, 2.0 * np.pi), thetas)
-        path_ok = path_ok and bool(np.all(norms <= 0.5 * thetas + 1e-12))
-        tail = max(tail, float(norms[-1]))
+    paths = [approach_defects(path_rng.uniform(0.0, 2.0 * np.pi), thetas) for _ in range(10)]
+    path_ok = bool(np.all(np.array(paths) <= 0.5 * thetas + 1e-12))
+    tail = np.max([norms[-1] for norms in paths])
 
     probe_max = _ac8_probe_max()
     probe_ok = probe_max <= RECORDED_PROBE_BASELINE * (1.0 + 1e-9)
@@ -456,18 +452,18 @@ def _ac9_worst_gap():
         (waved((0.7, 0.1), 0.5, 1.2), 0.3, (1.0, 0.0)),
         (waved((-0.4, 0.6), 0.6, 0.7), -0.7, (0.0, 1.2)),
     ]
-    worst = 0.0
+    gaps = []
     for f, tau, xi in plus_cases:
         xi = np.asarray(xi)
         direct = delta_integral_plus(f, tau, xi).value
         oracle = mollified_oracle_plus(f, tau, xi)
-        worst = max(worst, abs(direct - oracle) / abs(oracle))
+        gaps.append(abs(direct - oracle) / abs(oracle))
     for f, tau, xi in minus_cases:
         xi = np.asarray(xi)
         direct = delta_integral_minus(f, tau, xi).value
         oracle = mollified_oracle_minus(f, tau, xi)
-        worst = max(worst, abs(direct - oracle) / abs(oracle))
-    return worst
+        gaps.append(abs(direct - oracle) / abs(oracle))
+    return np.max(gaps)
 
 
 def test_ac9_delta_integrals_match_mollified_oracles():

@@ -1,7 +1,9 @@
 import ast
 import csv
+import dataclasses
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -669,3 +671,129 @@ def test_manifest_records_versions_and_config_echo(tmp_path):
     assert manifest["seed"] == "6"
     assert float(manifest["wall_time_s"]) >= 0.0
     assert manifest["check_scaling_exponent"].startswith("PASS")
+
+
+
+# a small configuration of each command, at which every check passes
+SMALL = {
+    "simulate": ["n=16", "steps=4", "sample_every=2"],
+    "residuals": ["n=16", "steps=20", "sample_every=5"],
+    "verify-null": ["null_samples=1000"],
+    "verify-cone": ["rtol=1e-3"],
+    "verify-norms": ["n=16", "norm_tuples=5"],
+    "scaling": ["n=16"],
+    "probe-bilinear": ["n=16", "probe_samples=2", "n_active=16"],
+}
+
+
+def _verdicts(printed):
+    """{(command, check): PASS or FAIL} of the lines a run printed, in their order."""
+    return {(command, check): verdict for command, check, verdict in re.findall(
+        r"^\[([\w-]+)\] (\w+): (PASS|FAIL) ", printed, re.MULTILINE)}
+
+
+def test_the_readme_check_table_matches_the_printed_checks(tmp_path, capsys):
+    # the table documents every check, so it may not drift from what the commands print
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = next(i for i, line in enumerate(lines) if re.match(r"\| command +\| check ", line))
+    rows = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(cell.strip().strip("`") for cell in line.strip("|").split("|")[:2]))
+    printed = {}
+    for command in COMMANDS:
+        assert main([command, "--out", str(tmp_path / command), *SMALL[command]]) == 0
+        printed.update(_verdicts(capsys.readouterr().out))
+    assert rows == list(printed)
+
+
+def _nan_middle(values):
+    """A copy of the array with its middle entry NaN."""
+    spoiled = np.array(values, dtype=float)
+    spoiled.flat[spoiled.size // 2] = np.nan
+    return spoiled
+
+
+def _middle_row(key, value=np.nan):
+    """Dict rows with the middle row's key set to value."""
+    def spoil(rows):
+        rows = [dict(row) for row in rows]
+        rows[len(rows) // 2][key] = value
+        return rows
+    return spoil
+
+
+# each row: command, the function a NaN enters through, the call of it that
+# returns one (counted from 0), how it does, and the checks that must FAIL;
+# every check that reads computed values has a row, while finite_evolution
+# fails by DivergedError, since the engine refuses to go on past a non-finite value
+NAN_ROWS = [
+    ("residuals", (HalfWaveSolver, "evolve_with_residuals"), 0,
+     lambda out: (out[0], dataclasses.replace(out[1], lorenz=_nan_middle(out[1].lorenz))),
+     ["lorenz_constraint"]),
+    # c_sym is an envelope too, so angle_comparisons reads it
+    ("verify-null", (null_geometry, "symbol_bound_ratio"), 1, _nan_middle, ["symbol_bound", "angle_comparisons"]),
+    ("verify-null", (null_geometry, "angle_ratio_minus"), 0, _nan_middle, ["angle_comparisons"]),
+    # path 2 of 10
+    ("verify-null", (cli, "approach_defects"), 2, _nan_middle, ["collinear_vanishing"]),
+    ("verify-cone", (cli, "plus_kernel_sweep"), 0, _middle_row("value"), ["plus_kernel_bound"]),
+    ("verify-cone", (cli, "minus_kernel_sweep"), 0, _middle_row("value"), ["minus_kernel_bound"]),
+    ("verify-cone", (cli, "minus_kernel_sweep"), 0, _middle_row("split_defect"), ["near_far_split"]),
+    # tuple 3's lhs of 5, which the embedding ratio divides by
+    ("verify-norms", (cli, "homogeneous_factorization_check"), 3, lambda out: (np.nan, *out[1:]),
+     ["factorization_identity", "embedding_bound"]),
+    ("verify-norms", (cli, "embedding_check"), 2, lambda out: np.nan, ["embedding_bound"]),
+    # the 2nd of 6 exponents
+    ("scaling", (cli, "scaling_check"), 1, lambda out: np.nan, ["scaling_exponent"]),
+    ("probe-bilinear", (cli, "bilinear_sweep"), 0, _middle_row("ratio"), ["probe_ratios"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, target, call, spoil, failing", NAN_ROWS,
+    ids=[f"{row[0]}-{row[1][1]}-{'-'.join(row[4])}" for row in NAN_ROWS],
+)
+def test_a_nan_in_a_middle_row_fails_its_check(tmp_path, capsys, monkeypatch, command, target, call, spoil, failing):
+    # Python's max(a, nan) is a, so a NaN in any row but the first used to pass
+    owner, name = target
+    original = getattr(owner, name)
+    calls = []
+
+    def spoiled(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(name)
+        return spoil(out) if len(calls) == call + 1 else out
+
+    monkeypatch.setattr(owner, name, spoiled)
+    assert main([command, "--out", str(tmp_path), *SMALL[command]]) == 1
+    assert len(calls) > call
+    verdicts = _verdicts(capsys.readouterr().out)
+    assert {check for (_, check), verdict in verdicts.items() if verdict == "FAIL"} == set(failing)
+    manifest = read_manifest(tmp_path / "manifest.txt")
+    for check in failing:
+        assert manifest[f"check_{check}"].startswith("FAIL")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "key", ["ratio_plus_min", "ratio_plus_max", "ratio_minus_min", "ratio_minus_max", "c_sym"]
+)
+def test_a_non_finite_null_envelope_fails_the_checks_that_read_it(tmp_path, capsys, monkeypatch, key, bad):
+    sweep = cli.null_sweep
+    monkeypatch.setattr(cli, "null_sweep", lambda rng, n: {**sweep(rng, n), key: bad})
+    assert main(["verify-null", "--out", str(tmp_path), *SMALL["verify-null"]]) == 1
+    verdicts = _verdicts(capsys.readouterr().out)
+    assert verdicts[("verify-null", "angle_comparisons")] == "FAIL"
+    assert verdicts[("verify-null", "symbol_bound")] == ("FAIL" if key == "c_sym" else "PASS")
+    assert verdicts[("verify-null", "collinear_vanishing")] == "PASS"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.5])
+def test_a_probe_ratio_that_is_not_a_positive_finite_number_fails(tmp_path, capsys, monkeypatch, bad):
+    sweep = cli.bilinear_sweep
+    monkeypatch.setattr(cli, "bilinear_sweep", lambda *args, **kwargs: _middle_row("ratio", bad)(sweep(*args, **kwargs)))
+    assert main(["probe-bilinear", "--out", str(tmp_path), *SMALL["probe-bilinear"]]) == 1
+    assert "[probe-bilinear] probe_ratios: FAIL" in capsys.readouterr().out

@@ -225,7 +225,7 @@ def test_plus_closed_form_ratio_constant_along_rays():
             plus_kernel(ConeProbe(tau=2.0 * mag, xi=(mag, 0.0), p=p))["closed_form_ratio"]
             for mag in (0.1, 1.0, 10.0)
         ]
-        assert max(ratios) / min(ratios) - 1.0 < 1e-9
+        assert np.max(ratios) / np.min(ratios) - 1.0 < 1e-9
 
 
 def test_minus_kernel_split_is_consistent():
@@ -268,17 +268,17 @@ def test_sweep_maxima_match_frozen_baseline():
 
     plus_ratios = [r["closed_form_ratio"] for r in plus_rows]
     assert_allclose(
-        (min(plus_ratios), max(plus_ratios)), FROZEN_PLUS_RATIO_RANGE, rtol=1e-9
+        (np.min(plus_ratios), np.max(plus_ratios)), FROZEN_PLUS_RATIO_RANGE, rtol=1e-9
     )
     near_ratios = [r["near_closed_form_ratio"] for r in minus_rows]
     assert_allclose(
-        (min(near_ratios), max(near_ratios)), FROZEN_MINUS_NEAR_RATIO_RANGE, rtol=1e-9
+        (np.min(near_ratios), np.max(near_ratios)), FROZEN_MINUS_NEAR_RATIO_RANGE, rtol=1e-9
     )
     far_ratios = [r["far_bound_ratio"] for r in minus_rows]
     assert_allclose(
-        (min(far_ratios), max(far_ratios)), FROZEN_FAR_BOUND_RATIO_RANGE, rtol=1e-9
+        (np.min(far_ratios), np.max(far_ratios)), FROZEN_FAR_BOUND_RATIO_RANGE, rtol=1e-9
     )
-    assert max(r["split_defect"] for r in minus_rows) < 1e-10
+    assert np.max([r["split_defect"] for r in minus_rows]) < 1e-10
 
 
 def test_sweep_maxima_stable_under_quadrature_refinement():

@@ -180,6 +180,16 @@ def test_reversibility(rng, grid):
     assert state_distance(back, state) < 1e-10
 
 
+def test_state_distance_sees_a_nan_in_the_v_pair_alone(rng, grid):
+    # the u halves agree to 0.0, which Python's max kept over the v halves' nan
+    state = random_diagonal_state(rng, grid, amplitude=0.3)
+    v = state.v().copy()
+    v[1, 3, 4, 0, 1] = np.nan
+    spoiled = diagonal_split(grid, state.u(), v)
+    assert np.isnan(state_distance(state, spoiled))
+    assert np.isnan(state_distance(spoiled, state))
+
+
 def test_su_structure_preserved_along_flow(rng, grid):
     state = random_diagonal_state(rng, grid, amplitude=0.4)
     solver = HalfWaveSolver(grid)

@@ -557,6 +557,17 @@ def test_probe_t_window_must_be_positive_and_finite():
             bilinear_sweep(np.random.default_rng(0), GRID, (0.125,), n_samples=1, t_window=t_window)
 
 
+def test_bilinear_sweep_refuses_probes_without_an_active_mode():
+    # n_active=0 placed no mode, so every ratio was 0 / 0: nan, with a RuntimeWarning
+    for n_active, message in (
+        (0, "n_active must be at least 1, got 0"),
+        (-1, "n_active must be at least 1, got -1"),
+        (2.5, "n_active must be a whole number, got 2.5"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            bilinear_sweep(np.random.default_rng(0), GRID, (0.125,), n_samples=1, n_active=n_active)
+
+
 def test_random_positive_coeffs_layout():
     rng = np.random.default_rng(4)
     data = random_positive_coeffs(rng, GRID, 16, 96)
